@@ -23,7 +23,7 @@ case "$mode" in
   tsan)
     sanitizers="thread"
     dir=build-tsan
-    default_args=(-R 'Sharded|Concurrent')
+    default_args=(-R 'Sharded|Concurrent|ReadPaths')
     ;;
   *)
     echo "usage: $0 [asan|tsan] [ctest args...]" >&2

@@ -87,7 +87,9 @@ void CwMac::pad_batch(std::span<const std::uint64_t> addrs,
   assert(addrs.size() == counters.size() && addrs.size() == pads.size());
   constexpr std::size_t kLane = Aes128::kWideParallelBlocks;
   std::size_t i = 0;
-  std::array<std::uint8_t, kLane * Aes128::kBlockBytes> tweaks{};
+  // No zero-fill: fill_pad_tweak writes every byte of each lane, and a
+  // batch smaller than one lane (a single verified read) skips the loop.
+  std::array<std::uint8_t, kLane * Aes128::kBlockBytes> tweaks;
   std::array<std::uint8_t, kLane * Aes128::kBlockBytes> enc;
   for (; i + kLane <= addrs.size(); i += kLane) {
     for (std::size_t l = 0; l < kLane; ++l)

@@ -11,7 +11,6 @@
 #include <numeric>
 #include <ostream>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "common/bitops.h"
 #include "common/ct.h"
@@ -243,12 +242,6 @@ void SecureMemory::sync_counter_line(std::uint64_t line) {
   tree_cache_.update(line, dest);
 }
 
-bool SecureMemory::verify_counter_line(std::uint64_t line) {
-  const std::span<const std::uint8_t, 64> line_bytes(
-      counter_store_.data() + line * 64, 64);
-  return tree_cache_.verify(line, line_bytes);
-}
-
 std::uint64_t SecureMemory::reencrypt_group(std::uint64_t group,
                                             std::uint64_t skip_block,
                                             std::uint64_t new_counter) {
@@ -305,9 +298,7 @@ std::uint64_t SecureMemory::reencrypt_group(std::uint64_t group,
 
 Status SecureMemory::write_block(std::uint64_t block,
                                  const DataBlock& plaintext) {
-  if (block >= layout_.num_blocks())
-    throw std::out_of_range("SecureMemory::write_block: block " +
-                            std::to_string(block) + " out of range");
+  check_block(block, "write_block");
   const OpTimer timer(config_.time_ops, metrics_,
                       EngineHistId::kWriteLatencyNs);
   metrics_.add(MetricId::kWrites);
@@ -328,87 +319,6 @@ Status SecureMemory::write_block(std::uint64_t block,
   sync_counter_line(scheme_->storage_line_of(block));
   trace(TraceEvent::Kind::kWrite, Status::kOk, block);
   return Status::kOk;
-}
-
-ReadResult SecureMemory::read_block(std::uint64_t block) {
-  if (block >= layout_.num_blocks())
-    throw std::out_of_range("SecureMemory::read_block: block " +
-                            std::to_string(block) + " out of range");
-  const OpTimer timer(config_.time_ops, metrics_,
-                      EngineHistId::kReadLatencyNs);
-  ReadResult result{ReadStatus::kOk, {}, 0};
-  // Account the outcome on every exit path.
-  struct Accounting {
-    SecureMemory& m;
-    const ReadResult& r;
-    std::uint64_t block;
-    ~Accounting() { m.account_read(r, block); }
-  } accounting{*this, result, block};
-
-  // 1. Authenticate the stored counter line against the Bonsai tree
-  // (through the verified frontier: walks truncate at cached ancestors).
-  if (!verify_counter_line(scheme_->storage_line_of(block))) {
-    result.status = ReadStatus::kCounterTampered;
-    return result;
-  }
-  // Verified: the stored representation is authentic, so the scheme's
-  // decoded value is the true counter.
-  const std::uint64_t counter = scheme_->read_counter(block);
-  const std::uint64_t addr = layout_.block_addr(block);
-
-  DataBlock ct = ciphertext_[block];
-
-  if (config_.mac_placement == MacPlacement::kEccLane) {
-    // 2a. Unpack the MAC lane; its own 7-bit Hamming code repairs
-    // single-bit lane faults (paper §3.3).
-    const auto unpacked = mac_ecc_.unpack_lane(lanes_[block]);
-    if (unpacked.status == MacEccCodec::MacStatus::kUncorrectable) {
-      result.status = ReadStatus::kIntegrityViolation;
-      return result;
-    }
-    const std::uint64_t tag = unpacked.mac;
-    bool corrected_mac =
-        unpacked.status == MacEccCodec::MacStatus::kCorrectedSingle;
-
-    // Hoist the AES pad: flip-and-check may evaluate >100k candidates
-    // under this one (addr, counter).
-    const std::uint64_t pad = mac_.pad_for(addr, counter);
-    if (!mac_.verify_with_pad(pad, ct, tag)) {
-      // 3a. Flip-and-check (paper §3.4), incremental: one full hash of
-      // the block, then each candidate trial is a precomputed GF(2^64)
-      // delta XORed in — same search order and trial counts as the
-      // generic brute force, a fraction of the work per trial.
-      const CorrectionResult fix =
-          corrector_.correct_incremental(ct, mac_, pad, tag);
-      result.mac_evaluations = fix.mac_evaluations;
-      if (fix.status == CorrectionStatus::kUncorrectable) {
-        result.status = ReadStatus::kIntegrityViolation;
-        return result;
-      }
-      ct = fix.data;
-      result.status = ReadStatus::kCorrectedData;
-    } else if (corrected_mac) {
-      result.status = ReadStatus::kCorrectedMacField;
-    }
-  } else {
-    // 2b. Conventional path: SEC-DED per word, then MAC from its region.
-    const auto decoded = secded_.decode(ct, lanes_[block]);
-    if (decoded.any_uncorrectable) {
-      result.status = ReadStatus::kIntegrityViolation;
-      return result;
-    }
-    ct = decoded.data;
-    if (!mac_.verify(addr, counter, ct, macs_[block])) {
-      result.status = ReadStatus::kIntegrityViolation;
-      return result;
-    }
-    if (decoded.any_corrected) result.status = ReadStatus::kCorrectedWord;
-  }
-
-  // 4. Decrypt.
-  keystream_.crypt(addr, counter, ct);
-  result.data = ct;
-  return result;
 }
 
 void SecureMemory::account_read(const ReadResult& result,
@@ -449,90 +359,173 @@ namespace {
 /// steady state overwhelmingly shared while still warming a shifting
 /// working set within a few touches per line.
 constexpr std::uint64_t kSharedProbePulse = 8;
+
+/// Blocks per pass of the read core: one pad_batch call and one
+/// stack-resident counter-line table per chunk, no heap allocation.
+constexpr std::size_t kReadChunk = 64;
+
+[[noreturn]] void throw_block_range(const char* op, std::uint64_t block) {
+  throw std::out_of_range(std::string("SecureMemory::") + op + ": block " +
+                          std::to_string(block) + " out of range");
+}
 }  // namespace
+
+void SecureMemory::check_block(std::uint64_t block, const char* op) const {
+  if (block >= layout_.num_blocks()) throw_block_range(op, block);
+}
+
+// Forced inline, like read_core below: the batch-of-one read is the hot
+// path, and each call layer measurably added to its latency.
+[[gnu::always_inline]] inline void SecureMemory::verify_block(
+    std::uint64_t block, std::uint64_t addr, std::uint64_t counter,
+    std::uint64_t pad, ReadResult& result) const {
+  // An aligned local copy: ReadResult::data sits at byte offset 1, where
+  // the MAC hash and the keystream would run on split loads.
+  DataBlock ct = ciphertext_[block];
+  ReadStatus status = ReadStatus::kOk;
+  std::uint64_t mac_evaluations = 0;
+  if (config_.mac_placement == MacPlacement::kEccLane) {
+    // Unpack the MAC lane; its own 7-bit Hamming code repairs single-bit
+    // lane faults (paper §3.3).
+    const auto unpacked = mac_ecc_.unpack_lane(lanes_[block]);
+    if (unpacked.status == MacEccCodec::MacStatus::kUncorrectable) {
+      result = {ReadStatus::kIntegrityViolation, {}, 0};
+      return;
+    }
+    if (!mac_.verify_with_pad(pad, ct, unpacked.mac)) {
+      // Flip-and-check (paper §3.4), incremental: one full hash of the
+      // block, then each candidate trial is a precomputed GF(2^64) delta
+      // XORed in — same search order and trial counts as the generic
+      // brute force, a fraction of the work per trial. The hoisted pad
+      // serves every candidate under this (addr, counter).
+      const CorrectionResult fix =
+          corrector_.correct_incremental(ct, mac_, pad, unpacked.mac);
+      if (fix.status == CorrectionStatus::kUncorrectable) {
+        result = {ReadStatus::kIntegrityViolation, {}, fix.mac_evaluations};
+        return;
+      }
+      ct = fix.data;
+      status = ReadStatus::kCorrectedData;
+      mac_evaluations = fix.mac_evaluations;
+    } else if (unpacked.status == MacEccCodec::MacStatus::kCorrectedSingle) {
+      status = ReadStatus::kCorrectedMacField;
+    }
+  } else {
+    // Conventional path: SEC-DED per word, then the MAC from its region.
+    const auto decoded = secded_.decode(ct, lanes_[block]);
+    if (decoded.any_uncorrectable ||
+        !mac_.verify_with_pad(pad, decoded.data, macs_[block])) {
+      result = {ReadStatus::kIntegrityViolation, {}, 0};
+      return;
+    }
+    ct = decoded.data;
+    if (decoded.any_corrected) status = ReadStatus::kCorrectedWord;
+  }
+  // Only now — counter line, MAC and correction all verified — decrypt.
+  keystream_.crypt(addr, counter, ct);
+  result = {status, ct, mac_evaluations};
+}
+
+template <typename Sink>
+[[gnu::always_inline]] inline void SecureMemory::read_core(
+    std::span<const std::uint64_t> blocks, std::span<ReadResult> results,
+    VerifiedTreeCache* fill, Sink&& sink) const {
+  // time_ops samples per-block latency, so its chunk is one block.
+  const std::size_t chunk = config_.time_ops ? 1 : kReadChunk;
+  for (std::size_t base = 0; base < blocks.size(); base += chunk) {
+    const OpTimer timer(config_.time_ops, metrics_,
+                        EngineHistId::kReadLatencyNs);
+    const std::size_t n = std::min(chunk, blocks.size() - base);
+    std::array<std::uint64_t, kReadChunk> addrs, counters, pads;
+    for (std::size_t i = 0; i < n; ++i) {
+      addrs[i] = layout_.block_addr(blocks[base + i]);
+      // The scheme's registers are on-chip state: the decoded counter is
+      // the true one whenever the stored line authenticates below.
+      counters[i] = scheme_->read_counter(blocks[base + i]);
+    }
+    mac_.pad_batch({addrs.data(), n}, {counters.data(), n}, {pads.data(), n});
+
+    // Each distinct counter line authenticates once per chunk: the line
+    // bytes cannot change while the caller holds the lock, so one walk
+    // per line is observationally equivalent to one per block.
+    struct LineState {
+      std::uint64_t line;
+      bool ok;
+      bool resident;
+    };
+    std::array<LineState, kReadChunk> lines;
+    std::size_t num_lines = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t block = blocks[base + i];
+      const std::uint64_t line = scheme_->storage_line_of(block);
+      std::size_t l = num_lines;  // 1-based slot; newest line first
+      while (l > 0 && lines[l - 1].line != line) --l;
+      if (l == 0) {  // first block of this line in the chunk
+        l = ++num_lines;
+        bool resident = true;
+        const BonsaiTree::LineView bytes(counter_store_.data() + line * 64,
+                                         64);
+        const bool ok = fill != nullptr
+                            ? fill->verify(line, bytes)
+                            : tree_cache_.probe(line, bytes, resident);
+        lines[l - 1] = {line, ok, resident};
+      }
+      const LineState& state = lines[l - 1];
+      const bool declined =
+          !state.resident &&
+          shared_cold_reads_.fetch_add(1, std::memory_order_relaxed) %
+                  kSharedProbePulse ==
+              kSharedProbePulse - 1;
+      if (declined) {
+        // Promotion pulse: bounce this read to the exclusive path, whose
+        // verify() may install the line. Nothing is accounted — the
+        // caller's retry does the read (and the books) for real.
+        metrics_.add(MetricId::kSharedReadDeclines);
+      } else {
+        if (state.ok)
+          verify_block(block, addrs[i], counters[i], pads[i],
+                       results[base + i]);
+        else
+          results[base + i] = {ReadStatus::kCounterTampered, {}, 0};
+        if (fill == nullptr) metrics_.add(MetricId::kSharedReads);
+      }
+      if (!sink(base + i, declined)) return;
+    }
+  }
+}
+
+ReadResult SecureMemory::read_block(std::uint64_t block) {
+  check_block(block, "read_block");
+  ReadResult result;
+  read_core({&block, 1}, {&result, 1}, &tree_cache_, [&](std::size_t, bool) {
+    account_read(result, block);
+    return true;
+  });
+  return result;
+}
+
+std::vector<ReadResult> SecureMemory::read_blocks(
+    std::span<const std::uint64_t> blocks) {
+  for (const std::uint64_t block : blocks) check_block(block, "read_blocks");
+  std::vector<ReadResult> results(blocks.size());
+  read_core(blocks, results, &tree_cache_, [&](std::size_t i, bool) {
+    account_read(results[i], blocks[i]);
+    return true;
+  });
+  return results;
+}
 
 std::optional<ReadResult> SecureMemory::read_block_shared(std::uint64_t block,
                                                           bool account) const {
-  if (block >= layout_.num_blocks())
-    throw std::out_of_range("SecureMemory::read_block_shared: block " +
-                            std::to_string(block) + " out of range");
-  const OpTimer timer(config_.time_ops, metrics_,
-                      EngineHistId::kReadLatencyNs);
-  ReadResult result{ReadStatus::kOk, {}, 0};
-
-  // 1. Authenticate the stored counter line through the read-side probe
-  // (no fills, no LRU reordering — see VerifiedTreeCache::probe).
-  const std::uint64_t line = scheme_->storage_line_of(block);
-  bool resident = false;
-  const bool line_ok = tree_cache_.probe(
-      line,
-      BonsaiTree::LineView(counter_store_.data() + line * 64, 64),
-      resident);
-  if (!resident &&
-      shared_cold_reads_.fetch_add(1, std::memory_order_relaxed) %
-              kSharedProbePulse ==
-          kSharedProbePulse - 1) {
-    // Promotion pulse: bounce to the exclusive path, whose verify() may
-    // install the line. Nothing is accounted — the caller's retry does
-    // the read (and the books) for real.
-    metrics_.add(MetricId::kSharedReadDeclines);
-    return std::nullopt;
-  }
-  if (!line_ok) {
-    result.status = ReadStatus::kCounterTampered;
-    metrics_.add(MetricId::kSharedReads);
-    if (account) account_read(result, block);
-    return result;
-  }
-
-  // 2..4: identical to read_block() — every step below is const.
-  const std::uint64_t counter = scheme_->read_counter(block);
-  const std::uint64_t addr = layout_.block_addr(block);
-  DataBlock ct = ciphertext_[block];
-
-  if (config_.mac_placement == MacPlacement::kEccLane) {
-    const auto unpacked = mac_ecc_.unpack_lane(lanes_[block]);
-    if (unpacked.status == MacEccCodec::MacStatus::kUncorrectable) {
-      result.status = ReadStatus::kIntegrityViolation;
-    } else {
-      const std::uint64_t tag = unpacked.mac;
-      const bool corrected_mac =
-          unpacked.status == MacEccCodec::MacStatus::kCorrectedSingle;
-      const std::uint64_t pad = mac_.pad_for(addr, counter);
-      if (!mac_.verify_with_pad(pad, ct, tag)) {
-        const CorrectionResult fix =
-            corrector_.correct_incremental(ct, mac_, pad, tag);
-        result.mac_evaluations = fix.mac_evaluations;
-        if (fix.status == CorrectionStatus::kUncorrectable) {
-          result.status = ReadStatus::kIntegrityViolation;
-        } else {
-          ct = fix.data;
-          result.status = ReadStatus::kCorrectedData;
-        }
-      } else if (corrected_mac) {
-        result.status = ReadStatus::kCorrectedMacField;
-      }
-    }
-  } else {
-    const auto decoded = secded_.decode(ct, lanes_[block]);
-    if (decoded.any_uncorrectable) {
-      result.status = ReadStatus::kIntegrityViolation;
-    } else {
-      ct = decoded.data;
-      if (!mac_.verify(addr, counter, ct, macs_[block])) {
-        result.status = ReadStatus::kIntegrityViolation;
-      } else if (decoded.any_corrected) {
-        result.status = ReadStatus::kCorrectedWord;
-      }
-    }
-  }
-
-  if (status_ok(result.status)) {
-    keystream_.crypt(addr, counter, ct);
-    result.data = ct;
-  }
-  metrics_.add(MetricId::kSharedReads);
-  if (account) account_read(result, block);
+  check_block(block, "read_block_shared");
+  ReadResult result;
+  bool declined = false;
+  read_core({&block, 1}, {&result, 1}, nullptr, [&](std::size_t, bool d) {
+    declined = d;
+    if (!d && account) account_read(result, block);
+    return true;
+  });
+  if (declined) return std::nullopt;
   return result;
 }
 
@@ -541,267 +534,89 @@ void SecureMemory::read_blocks_shared(std::span<const std::uint64_t> blocks,
                                       std::vector<std::uint32_t>& declined)
     const {
   assert(results.size() == blocks.size());
-  if (config_.time_ops) {
-    // Per-op latency sampling needs per-op boundaries — scalar wholesale.
-    for (std::size_t i = 0; i < blocks.size(); ++i) {
-      if (const auto r = read_block_shared(blocks[i])) {
-        results[i] = *r;
-      } else {
-        declined.push_back(static_cast<std::uint32_t>(i));
-      }
-    }
-    return;
-  }
-
-  // Batched mirror of read_blocks() on the const shared path. Each
-  // distinct counter line is probed once — under the shared lock the
-  // line bytes cannot change within the batch, so one read-side verify
-  // per line is observationally equivalent to one per block. The line
-  // table is a flat array with linear scan for the common case (shard
-  // runs of a few dozen blocks — where one node-based map allocation
-  // per distinct line costs more than every lookup it saves) and an
-  // unordered_map above that.
-  struct LineState {
-    std::uint64_t line;
-    bool ok;
-    bool resident;
-  };
-  const bool flat = blocks.size() <= 256;
-  std::vector<LineState> line_vec;
-  std::unordered_map<std::uint64_t, std::pair<bool, bool>> line_map;
-  if (flat) line_vec.reserve(blocks.size());
-  auto line_state = [&](std::uint64_t line) -> std::pair<bool, bool> {
-    if (flat) {
-      for (const LineState& ls : line_vec)
-        if (ls.line == line) return {ls.ok, ls.resident};
-    } else if (const auto it = line_map.find(line); it != line_map.end()) {
-      return it->second;
-    }
-    bool resident = false;
-    const bool ok = tree_cache_.probe(
-        line, BonsaiTree::LineView(counter_store_.data() + line * 64, 64),
-        resident);
-    if (flat)
-      line_vec.push_back({line, ok, resident});
-    else
-      line_map.emplace(line, std::make_pair(ok, resident));
-    return {ok, resident};
-  };
-
-  // MAC pads for the whole batch through the 8-wide AES kernel; one
-  // allocation carries all three lanes.
-  const std::size_t n = blocks.size();
-  std::vector<std::uint64_t> lanes_buf(3 * n);
-  const std::span<std::uint64_t> addrs(lanes_buf.data(), n);
-  const std::span<std::uint64_t> counters(lanes_buf.data() + n, n);
-  const std::span<std::uint64_t> pads(lanes_buf.data() + 2 * n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    addrs[i] = layout_.block_addr(blocks[i]);
-    counters[i] = scheme_->read_counter(blocks[i]);
-  }
-  mac_.pad_batch(addrs, counters, pads);
-
-  // Per block, preserving read_block_shared's ordering exactly —
-  // promotion pulse first (each cold-line read ticks the pulse counter,
-  // every kSharedProbePulse-th declines), then the tamper verdict, then
-  // the clean verify; anything that is not a clean verify falls back to
-  // the scalar routine for identical corrections/statuses/accounting.
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t block = blocks[i];
-    const auto [line_ok, resident] =
-        line_state(scheme_->storage_line_of(block));
-    if (!resident &&
-        shared_cold_reads_.fetch_add(1, std::memory_order_relaxed) %
-                kSharedProbePulse ==
-            kSharedProbePulse - 1) {
-      metrics_.add(MetricId::kSharedReadDeclines);
+  for (const std::uint64_t block : blocks)
+    check_block(block, "read_blocks_shared");
+  read_core(blocks, results, nullptr, [&](std::size_t i, bool d) {
+    if (d)
       declined.push_back(static_cast<std::uint32_t>(i));
-      continue;
-    }
-    if (!line_ok) {
-      results[i] = ReadResult{ReadStatus::kCounterTampered, {}, 0};
-      metrics_.add(MetricId::kSharedReads);
-      account_read(results[i], block);
-      continue;
-    }
-    DataBlock ct = ciphertext_[block];
-    if (config_.mac_placement == MacPlacement::kEccLane) {
-      const auto unpacked = mac_ecc_.unpack_lane(lanes_[block]);
-      if (unpacked.status != MacEccCodec::MacStatus::kOk ||
-          !mac_.verify_with_pad(pads[i], ct, unpacked.mac)) {
-        if (const auto r = read_block_shared(block)) {
-          results[i] = *r;
-        } else {
-          declined.push_back(static_cast<std::uint32_t>(i));
-        }
-        continue;
-      }
-    } else {
-      const auto decoded = secded_.decode(ct, lanes_[block]);
-      if (decoded.any_corrected || decoded.any_uncorrectable ||
-          !mac_.verify_with_pad(pads[i], decoded.data,
-                                macs_[block] & kMacMask)) {
-        if (const auto r = read_block_shared(block)) {
-          results[i] = *r;
-        } else {
-          declined.push_back(static_cast<std::uint32_t>(i));
-        }
-        continue;
-      }
-    }
-    keystream_.crypt(addrs[i], counters[i], ct);
-    results[i] = ReadResult{ReadStatus::kOk, ct, 0};
-    metrics_.add(MetricId::kSharedReads);
-    account_read(results[i], block);
-  }
+    else
+      account_read(results[i], blocks[i]);
+    return true;
+  });
 }
 
-std::optional<Status> SecureMemory::read_bytes_shared(
-    std::uint64_t addr, std::span<std::uint8_t> out) const {
+std::optional<Status> SecureMemory::read_range(std::uint64_t addr,
+                                               std::span<std::uint8_t> out,
+                                               VerifiedTreeCache* fill) const {
   if (addr > config_.size_bytes || out.size() > config_.size_bytes - addr)
-    throw std::out_of_range(
-        "SecureMemory::read_bytes_shared: range exceeds region");
-
-  // Gather first, account after: a decline must leave zero footprint so
-  // the exclusive retry's books match a single read_bytes() call.
+    throw std::out_of_range("SecureMemory::read_bytes: range exceeds region");
+  // A shared attempt accounts only once it stands: a decline must leave
+  // no footprint, so the exclusive retry's books match a single call.
   struct Pending {
     std::uint64_t block;
     ReadResult result;
   };
   std::vector<Pending> pending;
   Status folded = Status::kOk;
-  std::uint64_t pos = addr;
-  std::size_t done = 0;
-  bool failed = false;
-  std::uint64_t failed_block = 0;
-  while (done < out.size()) {
-    const std::uint64_t block = pos / 64;
-    const std::size_t offset = pos % 64;
-    const std::size_t chunk =
-        std::min<std::size_t>(64 - offset, out.size() - done);
-    const auto r = read_block_shared(block, /*account=*/false);
-    if (!r) return std::nullopt;
-    pending.push_back({block, *r});
-    folded = worse(folded, r->status);
-    if (!status_ok(r->status)) {
-      failed = true;
-      failed_block = block;
-      break;
-    }
-    std::memcpy(out.data() + done, r->data.data() + offset, chunk);
-    pos += chunk;
-    done += chunk;
+  std::uint64_t trace_block = addr / 64;
+  bool declined = false;
+  const std::uint64_t end = addr + out.size();
+  const std::uint64_t end_block = out.empty() ? addr / 64 : (end + 63) / 64;
+  // One read_core pass per 8 blocks (one 8-wide pad_batch lane): the
+  // default-initialized results array stays small for short ranges.
+  constexpr std::size_t kRangeChunk = 8;
+  std::array<std::uint64_t, kRangeChunk> ids;
+  std::array<ReadResult, kRangeChunk> results;
+  for (std::uint64_t first = addr / 64;
+       first < end_block && status_ok(folded) && !declined;
+       first += kRangeChunk) {
+    const std::size_t n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(kRangeChunk, end_block - first));
+    std::iota(ids.begin(), ids.begin() + n, first);
+    read_core({ids.data(), n}, {results.data(), n}, fill,
+              [&](std::size_t i, bool d) {
+      if (d) {
+        declined = true;
+        return false;
+      }
+      const std::uint64_t block = ids[i];
+      const ReadResult& r = results[i];
+      if (fill != nullptr)
+        account_read(r, block);
+      else
+        pending.push_back({block, r});
+      folded = worse(folded, r.status);
+      if (!status_ok(r.status)) {
+        trace_block = block;
+        return false;
+      }
+      const std::uint64_t lo = std::max(addr, block * 64);
+      const std::uint64_t hi = std::min(end, block * 64 + 64);
+      std::memcpy(out.data() + (lo - addr), r.data.data() + (lo - block * 64),
+                  hi - lo);
+      return true;
+    });
   }
-
+  if (declined) return std::nullopt;
   metrics_.add(MetricId::kByteReads);
   metrics_.sample(EngineHistId::kByteReadBytes, out.size());
   for (const Pending& p : pending) account_read(p.result, p.block);
-  if (failed) {
-    trace(TraceEvent::Kind::kByteRead, folded, failed_block);
-    return folded;
-  }
-  trace(TraceEvent::Kind::kByteRead, folded, addr / 64);
+  trace(TraceEvent::Kind::kByteRead, folded, trace_block);
   return folded;
 }
 
-std::vector<ReadResult> SecureMemory::read_blocks(
-    std::span<const std::uint64_t> blocks) {
-  for (const std::uint64_t block : blocks)
-    if (block >= layout_.num_blocks())
-      throw std::out_of_range("SecureMemory::read_blocks: block " +
-                              std::to_string(block) + " out of range");
-  std::vector<ReadResult> results(blocks.size());
-  if (config_.time_ops) {
-    // Per-op latency sampling needs per-op boundaries — take the scalar
-    // path wholesale.
-    for (std::size_t i = 0; i < blocks.size(); ++i)
-      results[i] = read_block(blocks[i]);
-    return results;
-  }
+std::optional<Status> SecureMemory::read_bytes_shared(
+    std::uint64_t addr, std::span<std::uint8_t> out) const {
+  return read_range(addr, out, nullptr);
+}
 
-  // Phase 1: authenticate each distinct counter line once. Sequentially
-  // every read re-verifies its line; within one batch the line bytes
-  // cannot change, so one tree walk per line is observationally
-  // equivalent. Flat table + linear scan for typical batch sizes (one
-  // node-based map allocation per distinct line costs more than every
-  // lookup it saves), map above that.
-  struct LineOk {
-    std::uint64_t line;
-    bool ok;
-  };
-  const bool flat = blocks.size() <= 256;
-  std::vector<LineOk> line_vec;
-  std::unordered_map<std::uint64_t, bool> line_map;
-  if (flat) line_vec.reserve(blocks.size());
-  auto line_ok = [&](std::uint64_t line) -> bool {
-    if (flat) {
-      for (const LineOk& ls : line_vec)
-        if (ls.line == line) return ls.ok;
-    } else if (const auto it = line_map.find(line); it != line_map.end()) {
-      return it->second;
-    }
-    const bool ok = verify_counter_line(line);
-    if (flat)
-      line_vec.push_back({line, ok});
-    else
-      line_map.emplace(line, ok);
-    return ok;
-  };
-
-  // Phase 2: MAC pads for the whole batch through the 4-wide AES kernel;
-  // one allocation carries all three lanes.
-  const std::size_t n = blocks.size();
-  std::vector<std::uint64_t> lanes_buf(3 * n);
-  const std::span<std::uint64_t> addrs(lanes_buf.data(), n);
-  const std::span<std::uint64_t> counters(lanes_buf.data() + n, n);
-  const std::span<std::uint64_t> pads(lanes_buf.data() + 2 * n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    addrs[i] = layout_.block_addr(blocks[i]);
-    counters[i] = scheme_->read_counter(blocks[i]);
-  }
-  mac_.pad_batch(addrs, counters, pads);
-
-  // Phase 3: clean-path verification per block; anything that is not a
-  // clean verify (tampered line, lane damage, MAC mismatch, SEC-DED
-  // corrections) falls back to the scalar routine, which redoes the work
-  // with identical corrections, statuses, metrics, and trace events.
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t block = blocks[i];
-    if (!line_ok(scheme_->storage_line_of(block))) {
-      results[i] = read_block(block);
-      continue;
-    }
-    ReadResult& r = results[i];
-    DataBlock ct = ciphertext_[block];
-    if (config_.mac_placement == MacPlacement::kEccLane) {
-      const auto unpacked = mac_ecc_.unpack_lane(lanes_[block]);
-      if (unpacked.status != MacEccCodec::MacStatus::kOk ||
-          !mac_.verify_with_pad(pads[i], ct, unpacked.mac)) {
-        results[i] = read_block(block);
-        continue;
-      }
-    } else {
-      const auto decoded = secded_.decode(ct, lanes_[block]);
-      if (decoded.any_corrected || decoded.any_uncorrectable ||
-          !mac_.verify_with_pad(pads[i], decoded.data,
-                                macs_[block] & kMacMask)) {
-        results[i] = read_block(block);
-        continue;
-      }
-    }
-    keystream_.crypt(addrs[i], counters[i], ct);
-    r.status = ReadStatus::kOk;
-    r.data = ct;
-    account_read(r, block);
-  }
-  return results;
+Status SecureMemory::read_bytes(std::uint64_t addr,
+                                std::span<std::uint8_t> out) {
+  return *read_range(addr, out, &tree_cache_);
 }
 
 Status SecureMemory::write_blocks(std::span<const BlockWrite> writes) {
-  for (const BlockWrite& w : writes)
-    if (w.block >= layout_.num_blocks())
-      throw std::out_of_range("SecureMemory::write_blocks: block " +
-                              std::to_string(w.block) + " out of range");
+  for (const BlockWrite& w : writes) check_block(w.block, "write_blocks");
   if (config_.time_ops) {
     Status folded = Status::kOk;
     for (const BlockWrite& w : writes)
@@ -854,9 +669,7 @@ Status SecureMemory::write_blocks(std::span<const BlockWrite> writes) {
 }
 
 ScrubStatus SecureMemory::scrub_block(std::uint64_t block, bool deep) {
-  if (block >= layout_.num_blocks())
-    throw std::out_of_range("SecureMemory::scrub_block: block " +
-                            std::to_string(block) + " out of range");
+  check_block(block, "scrub_block");
   metrics_.add(MetricId::kScrubbedBlocks);
   if (!deep && config_.mac_placement == MacPlacement::kEccLane) {
     // Quick scan (paper §3.3): ciphertext parity vs the scrub bit, plus
@@ -1717,34 +1530,6 @@ Status SecureMemory::write_bytes(std::uint64_t addr,
     done += chunk;
   }
   trace(TraceEvent::Kind::kByteWrite, folded, first_block);
-  return folded;
-}
-
-Status SecureMemory::read_bytes(std::uint64_t addr,
-                                std::span<std::uint8_t> out) {
-  if (addr > config_.size_bytes || out.size() > config_.size_bytes - addr)
-    throw std::out_of_range("SecureMemory::read_bytes: range exceeds region");
-  metrics_.add(MetricId::kByteReads);
-  metrics_.sample(EngineHistId::kByteReadBytes, out.size());
-  Status folded = Status::kOk;
-  std::uint64_t pos = addr;
-  std::size_t done = 0;
-  while (done < out.size()) {
-    const std::uint64_t block = pos / 64;
-    const std::size_t offset = pos % 64;
-    const std::size_t chunk =
-        std::min<std::size_t>(64 - offset, out.size() - done);
-    const ReadResult r = read_block(block);
-    folded = worse(folded, r.status);
-    if (!status_ok(r.status)) {
-      trace(TraceEvent::Kind::kByteRead, r.status, block);
-      return r.status;
-    }
-    std::memcpy(out.data() + done, r.data.data() + offset, chunk);
-    pos += chunk;
-    done += chunk;
-  }
-  trace(TraceEvent::Kind::kByteRead, folded, addr / 64);
   return folded;
 }
 

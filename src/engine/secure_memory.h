@@ -109,57 +109,55 @@ class SecureMemory : public SecureMemoryLike {
   [[nodiscard]] Status write_block(std::uint64_t block,
                                    const DataBlock& plaintext) override;
 
-  /// Verified read of one 64-byte block.
+  /// Verified read of one 64-byte block — a batch of one through the
+  /// read core (see read_core below).
   ReadResult read_block(std::uint64_t block) override;
 
-  /// Batch I/O (see SecureMemoryLike). The overrides keep single-block
-  /// semantics — identical statuses, corrections, metrics, and trace
-  /// events — while running the crypto over the whole batch: counter
-  /// lines authenticate once per line, AES pads stream through the
-  /// 4-wide kernel, and counter-line/tree syncs coalesce per dirty line.
-  /// Any block that needs more than the clean verify path (corrections,
-  /// tampering) falls back to the scalar routine for that block.
+  /// Batch I/O (see SecureMemoryLike). Reads keep single-block semantics
+  /// — identical statuses, corrections, metrics, and trace events — while
+  /// counter lines authenticate once per line per chunk and MAC pads
+  /// stream through the batched AES kernel. Writes coalesce
+  /// counter-line/tree syncs per dirty line.
   [[nodiscard]] std::vector<ReadResult> read_blocks(
       std::span<const std::uint64_t> blocks) override;
   [[nodiscard]] Status write_blocks(std::span<const BlockWrite> writes)
       override;
 
   /// ------------------------------------------------------------------
-  /// Shared (const) read fast path — the seqlock tier's workhorse.
+  /// Shared (const) reads — the seqlock tier's workhorse.
   /// ------------------------------------------------------------------
-  /// A verified read identical in verdict and plaintext to read_block(),
-  /// but const: counter authentication goes through the tree cache's
-  /// read-side probe() (no fills, no LRU reordering beyond the relaxed
-  /// touch), and the only engine state touched is the relaxed-atomic
-  /// metrics cell. Concurrency facades call this under a SHARED shard
-  /// lock, so any number of readers proceed in parallel.
+  /// The same read core as read_block()/read_blocks()/read_bytes(), so
+  /// verdicts and plaintext are identical, but const: counter lines
+  /// authenticate through the tree cache's read-side probe() (no fills),
+  /// and the only engine state touched is relaxed-atomic (metrics, LRU
+  /// touch, promotion pulse). Concurrency facades call these under a
+  /// SHARED lock, so any number of readers proceed in parallel.
   ///
-  /// Returns nullopt when the read *declines*: the counter line was not
-  /// resident and the promotion pulse elected to bounce this read to the
-  /// exclusive path, where read_block()'s verify() can install the line
-  /// into the verified frontier (a shared reader must not mutate the
-  /// cache, so without the pulse a cold line would walk to the root
-  /// forever). Callers retry declined blocks under the exclusive lock.
+  /// A read *declines* when its counter line was not resident and the
+  /// promotion pulse elected to bounce it to the exclusive path, where
+  /// verify() installs the line into the verified frontier (a shared
+  /// reader must not mutate the cache, so without the pulse a cold line
+  /// would walk to the root forever). Callers retry declined reads under
+  /// the exclusive lock.
   ///
-  /// `account` false defers metrics/trace to an explicit account_read()
-  /// call — the cross-shard byte-read path validates a whole optimistic
-  /// snapshot before committing any accounting, so retries don't
-  /// double-count.
+  /// read_block_shared: nullopt on decline. `account` false defers
+  /// metrics/trace to an explicit account_read() — the cross-shard byte
+  /// path validates a whole optimistic snapshot before committing any
+  /// accounting, so retries don't double-count.
   [[nodiscard]] std::optional<ReadResult> read_block_shared(
       std::uint64_t block, bool account = true) const;
 
-  /// Batch read_block_shared over `blocks` into `results` (same size).
-  /// Indices that declined are appended to `declined` and their result
-  /// slot is untouched — callers re-read those under the exclusive lock.
+  /// Batch shared read into `results` (same size as `blocks`). Indices
+  /// that declined are appended to `declined` and their result slot is
+  /// untouched.
   void read_blocks_shared(std::span<const std::uint64_t> blocks,
                           std::span<ReadResult> results,
                           std::vector<std::uint32_t>& declined) const;
 
   /// Whole-range shared read with read_bytes() semantics (same statuses,
-  /// same partial-output behavior on failure). nullopt when any block
-  /// declines — in that case NOTHING has been accounted, so the caller's
-  /// exclusive read_bytes() retry keeps the books identical to a single
-  /// call. All metrics/trace commit only once the attempt stands.
+  /// same partial output on failure). nullopt when any block declines —
+  /// then NOTHING has been accounted, so the caller's exclusive
+  /// read_bytes() retry keeps the books identical to a single call.
   [[nodiscard]] std::optional<Status> read_bytes_shared(
       std::uint64_t addr, std::span<std::uint8_t> out) const;
 
@@ -482,10 +480,36 @@ class SecureMemory : public SecureMemoryLike {
       std::istream& in, std::uint64_t master_key) const;
   /// stage_delta minus the magic bytes.
   [[nodiscard]] std::optional<StagedDelta> stage_delta_tail(std::istream& in);
-  /// Authenticate stored counter line `line` through the verified
-  /// frontier — the single tree-read entry point for read_block and the
-  /// batch paths.
-  [[nodiscard]] bool verify_counter_line(std::uint64_t line);
+  /// std::out_of_range unless `block` is inside the region.
+  void check_block(std::uint64_t block, const char* op) const;
+  /// The data-block verify, the only place plaintext is produced: unpack
+  /// the ECC lane, check the MAC under the precomputed `pad`, run
+  /// flip-and-check (MAC-in-ECC) or SEC-DED (separate MACs) on damage,
+  /// and decrypt only what verified. The caller has already
+  /// authenticated the counter line that `counter` was decoded from.
+  /// The outcome goes straight into the caller's `result` slot.
+  void verify_block(std::uint64_t block, std::uint64_t addr,
+                    std::uint64_t counter, std::uint64_t pad,
+                    ReadResult& result) const;
+  /// The read core every verified read runs through. Blocks go in
+  /// fixed-size stack chunks (one block under time_ops, so latency is
+  /// sampled per read): pads via CwMac::pad_batch, each distinct counter
+  /// line authenticated once per chunk, then verify_block per block.
+  /// `fill` is how counter lines authenticate: the frontier to fill via
+  /// verify() under the exclusive lock, or null for the read-only probe()
+  /// plus promotion pulse under the shared lock — the only mode in which
+  /// a read can decline. Block i's outcome lands in `results[i]` (left
+  /// untouched when it declines), then `sink(i, declined)` runs in block
+  /// order: it does the accounting and returns false to stop the pass.
+  template <typename Sink>
+  void read_core(std::span<const std::uint64_t> blocks,
+                 std::span<ReadResult> results, VerifiedTreeCache* fill,
+                 Sink&& sink) const;
+  /// read_bytes()/read_bytes_shared() over the read core; `fill` as
+  /// above, so only a shared attempt (null) can return nullopt.
+  std::optional<Status> read_range(std::uint64_t addr,
+                                   std::span<std::uint8_t> out,
+                                   VerifiedTreeCache* fill) const;
   std::uint64_t data_mac(std::uint64_t block, std::uint64_t counter,
                          const DataBlock& ciphertext) const;
   void trace(TraceEvent::Kind kind, Status outcome,
@@ -551,9 +575,9 @@ class SecureMemory : public SecureMemoryLike {
   /// Mutable: relaxed-atomic observability is written from the const
   /// shared read path (the cell's own contract — see common/metrics.h).
   mutable MetricsCell metrics_;
-  /// Promotion pulse for read_block_shared: a relaxed counter of
-  /// non-resident shared reads; every kSharedProbePulse-th one declines
-  /// so the exclusive retry warms the verified frontier.
+  /// Promotion pulse for shared reads: a relaxed counter of non-resident
+  /// shared reads (one tick per read); every kSharedProbePulse-th one
+  /// declines so the exclusive retry warms the verified frontier.
   mutable std::atomic<std::uint64_t> shared_cold_reads_{0};
   TraceRing* trace_ = nullptr;
   std::uint16_t trace_shard_ = 0;
