@@ -35,6 +35,7 @@
 
 #include "bench_metrics.h"
 #include "common/rng.h"
+#include "engine/byte_stream.h"
 #include "engine/secure_memory.h"
 #include "engine/sharded_memory.h"
 
@@ -73,36 +74,6 @@ class FixedSink final : public std::streambuf {
   std::size_t written() const {
     return static_cast<std::size_t>(pptr() - pbase());
   }
-};
-
-/// istream source over a borrowed byte buffer (no stringstream copy).
-class MemSource final : public std::streambuf {
- public:
-  MemSource(const char* data, std::size_t size) {
-    char* p = const_cast<char*>(data);  // get area is never written
-    setg(p, p, p + size);
-  }
-};
-
-/// ostream sink appending into a caller-owned growable vector — for the
-/// image-sizing pass and the variable-sized delta images.
-class VectorSink final : public std::streambuf {
- public:
-  explicit VectorSink(std::vector<char>& out) : out_(out) {}
-
- protected:
-  std::streamsize xsputn(const char* s, std::streamsize n) override {
-    out_.insert(out_.end(), s, s + n);
-    return n;
-  }
-  int_type overflow(int_type ch) override {
-    if (!traits_type::eq_int_type(ch, traits_type::eof()))
-      out_.push_back(traits_type::to_char_type(ch));
-    return ch;
-  }
-
- private:
-  std::vector<char>& out_;
 };
 
 struct Sample {
@@ -169,7 +140,7 @@ Sample measure(Engine& engine, Engine& replica, const std::string& name,
   // the staging allocation (batched mode recycles it afterwards) —
   // steady-state crash/restore bandwidth is the number of interest.
   {
-    MemSource source(image.data(), image.size());
+    SpanSource source(image.data(), image.size());
     std::istream in(&source);
     bad += !engine.restore(in);
   }
@@ -189,7 +160,7 @@ Sample measure(Engine& engine, Engine& replica, const std::string& name,
   {
     const auto start = std::chrono::steady_clock::now();
     for (unsigned r = 0; r < reps; ++r) {
-      MemSource source(image.data(), image.size());
+      SpanSource source(image.data(), image.size());
       std::istream in(&source);
       bad += !engine.restore(in);
     }
@@ -199,7 +170,7 @@ Sample measure(Engine& engine, Engine& replica, const std::string& name,
     if constexpr (std::is_same_v<Engine, SecureMemory>) {
       double stage_s = 0, commit_s = 0;
       for (unsigned r = 0; r < reps; ++r) {
-        MemSource source(image.data(), image.size());
+        SpanSource source(image.data(), image.size());
         std::istream in(&source);
         const auto t0 = std::chrono::steady_clock::now();
         auto staged = engine.stage_restore(in);
@@ -217,7 +188,7 @@ Sample measure(Engine& engine, Engine& replica, const std::string& name,
     } else if constexpr (std::is_same_v<Engine, ShardedSecureMemory>) {
       double stage_s = 0, commit_s = 0;
       for (unsigned r = 0; r < reps; ++r) {
-        MemSource source(image.data(), image.size());
+        SpanSource source(image.data(), image.size());
         std::istream in(&source);
         SnapshotTiming t;
         bad += !engine.restore_timed(in, t);
@@ -232,49 +203,46 @@ Sample measure(Engine& engine, Engine& replica, const std::string& name,
   // Delta phase: chain replica onto the engine's current base (the
   // restores above re-aligned both sides to `image`), then per rep
   // re-dirty a 2% hot set (untimed), seal a delta (timed), and roll it
-  // onto the replica (timed). Skipped when the kill switch has the
-  // engine emitting full images — the full rows above already cover it.
-  if (delta_snapshot_enabled()) {
-    {
-      MemSource source(image.data(), image.size());
-      std::istream in(&source);
-      bad += !replica.restore(in);
-    }
-    const std::uint64_t hot_blocks =
-        std::max<std::uint64_t>(1, engine.num_blocks() / 50);
-    std::vector<char> delta;
-    delta.reserve(image.size() / 8);
-    double dsave_s = 0, drestore_s = 0;
-    for (unsigned r = 0; r < reps; ++r) {
-      std::vector<BlockWrite> writes;
-      writes.reserve(256);
-      for (std::uint64_t b = 0; b < hot_blocks;) {
-        writes.clear();
-        for (; b < hot_blocks && writes.size() < 256; ++b) {
-          BlockWrite w;
-          w.block = b;
-          w.data[0] = static_cast<std::uint8_t>(r + 1);
-          w.data[1] = static_cast<std::uint8_t>(b);
-          writes.push_back(w);
-        }
-        bad += engine.write_blocks(writes) != Status::kOk;
-      }
-      delta.clear();
-      VectorSink sink(delta);
-      std::ostream out(&sink);
-      const auto t0 = std::chrono::steady_clock::now();
-      bad += engine.save_delta(out) != Status::kOk;
-      dsave_s += seconds_since(t0);
-      MemSource source(delta.data(), delta.size());
-      std::istream in(&source);
-      const auto t1 = std::chrono::steady_clock::now();
-      bad += !replica.restore_delta(in);
-      drestore_s += seconds_since(t1);
-    }
-    s.delta_bytes = delta.size();
-    s.delta_save_gibps = reps * gib / dsave_s;
-    s.delta_restore_gibps = reps * gib / drestore_s;
+  // onto the replica (timed).
+  {
+    SpanSource source(image.data(), image.size());
+    std::istream in(&source);
+    bad += !replica.restore(in);
   }
+  const std::uint64_t hot_blocks =
+      std::max<std::uint64_t>(1, engine.num_blocks() / 50);
+  std::vector<char> delta;
+  delta.reserve(image.size() / 8);
+  double dsave_s = 0, drestore_s = 0;
+  for (unsigned r = 0; r < reps; ++r) {
+    std::vector<BlockWrite> writes;
+    writes.reserve(256);
+    for (std::uint64_t b = 0; b < hot_blocks;) {
+      writes.clear();
+      for (; b < hot_blocks && writes.size() < 256; ++b) {
+        BlockWrite w;
+        w.block = b;
+        w.data[0] = static_cast<std::uint8_t>(r + 1);
+        w.data[1] = static_cast<std::uint8_t>(b);
+        writes.push_back(w);
+      }
+      bad += engine.write_blocks(writes) != Status::kOk;
+    }
+    delta.clear();
+    VectorSink sink(delta);
+    std::ostream out(&sink);
+    const auto t0 = std::chrono::steady_clock::now();
+    bad += engine.save_delta(out) != Status::kOk;
+    dsave_s += seconds_since(t0);
+    SpanSource source(delta.data(), delta.size());
+    std::istream in(&source);
+    const auto t1 = std::chrono::steady_clock::now();
+    bad += !replica.restore_delta(in);
+    drestore_s += seconds_since(t1);
+  }
+  s.delta_bytes = delta.size();
+  s.delta_save_gibps = reps * gib / dsave_s;
+  s.delta_restore_gibps = reps * gib / drestore_s;
   return s;
 }
 

@@ -49,12 +49,6 @@ echo "=== tier 1: scalar snapshot pipeline (SECMEM_BATCH_SNAPSHOT=0) ==="
 # the scalar reference the batched images must stay bit-identical to.
 SECMEM_BATCH_SNAPSHOT=0 ctest --preset default -j "$(nproc)"
 
-echo "=== tier 1: full-image snapshots only (SECMEM_DELTA_SNAPSHOT=0) ==="
-# Same binaries with delta snapshots kill-switched: save_delta emits
-# full images and restore_delta only accepts them — the pre-delta
-# posture every delta-aware caller must degrade to cleanly.
-SECMEM_DELTA_SNAPSHOT=0 ctest --preset default -j "$(nproc)"
-
 echo "=== tier 1: scalar group re-encryption (SECMEM_BATCH_REENC=0) ==="
 # Same binaries with the batched re-encryption kernels kill-switched:
 # group drains re-encrypt block by block through the scalar path the

@@ -7,35 +7,27 @@
 // fixed *granules* (the engine picks lcm(blocks_per_group,
 // blocks_per_storage_line) blocks, so a granule always holds whole
 // re-encryption groups and whole counter lines) and expresses one image
-// as a VCDIFF-style COPY/ADD command stream against another:
+// as a positional run stream over its base: an implicit cursor starts
+// at granule 0 and each command advances it by n granules.
 //
-//   COPY dst n src   — granules [dst, dst+n) equal base [src, src+n);
-//                      src == dst is the "unchanged" fast case and
-//                      carries zero payload
-//   ADD  dst n data  — granules [dst, dst+n) ship verbatim (ciphertext,
-//                      lanes, MACs little-endian, counter lines — in
-//                      that order, per granule)
+//   SKIP n       — granules [cursor, cursor+n) are unchanged; no payload
+//   ADD  n data  — granules [cursor, cursor+n) ship verbatim
+//                  (ciphertext, lanes, MACs little-endian, counter
+//                  lines — in that order, per granule)
 //
-// Two encoders produce such streams:
-//  - encode_from_dirty: the hot path. The engine's dirty-granule bitmap
-//    says exactly which granules changed since the base snapshot; clean
-//    runs become self-COPYs, dirty runs become ADDs. O(dirty) payload.
-//  - encode_from_diff: the cold path for diffing two arbitrary images
-//    (e.g. cross-instance replication) with no dirty information. A
-//    one-pass block-hash diff (hash table over base granules, verified
-//    byte compare, self-match preferred — the Correcting-1.5-Pass
-//    refinement) finds COPYs; everything else ships as ADD.
+// There is no cross-position COPY: counter-mode pads and data MACs both
+// bind the block address, so a granule's sealed bytes never reappear at
+// another address, and an encoder could never usefully emit one.
 //
-// Streams are applied IN PLACE over the base (Burns/Long/Stockmeyer):
-// a cross-COPY must read its source granule before any command
-// overwrites it, so encode_from_diff topologically orders the emitted
-// commands (Kahn over read-before-write edges) and breaks the rare
-// cycle by demoting one cross-COPY to an ADD. apply() then just walks
-// the stream in order. Decoders must parse() first: it bounds-checks
-// every command and enforces exact coverage (each granule written
-// exactly once), so a validated stream always reconstructs a complete
-// image. Authentication of the stream (command-section MAC, base seal)
-// is the engine's job — this module moves bytes only.
+// One encoder produces these streams: encode_from_dirty, driven by the
+// engine's dirty-granule bitmap (clean runs become SKIPs, dirty runs
+// ADDs; O(dirty) payload). Runs never overlap, so the stream applies in
+// place over the base in any order. Decoders must parse() first: it
+// walks the cursor, bounds-checks every run and payload, and requires
+// the runs to end exactly at the last granule, so a validated stream
+// always defines every granule once. Authentication of the stream
+// (command-section MAC, base seal) is the engine's job — this module
+// moves bytes only.
 #pragma once
 
 #include <cstddef>
@@ -93,6 +85,11 @@ struct Geometry {
   }
 };
 
+/// Upper bound on the size of any stream parse() accepts for `geo`: one
+/// command header per granule plus every granule's payload. Decoders
+/// bound an untrusted length with it before allocating.
+std::uint64_t max_stream_bytes(const Geometry& geo) noexcept;
+
 /// The four image sections, read-only (encoder view).
 struct ConstSections {
   std::span<const DataBlock> ciphertext;
@@ -107,21 +104,17 @@ struct MutSections {
   std::span<EccLane> lanes;
   std::span<std::uint64_t> macs;
   std::span<std::uint8_t> counters;
-
-  ConstSections as_const() const noexcept {
-    return {ciphertext, lanes, macs, counters};
-  }
 };
 
-/// One parsed command. Wire form (all fields little-endian u64 after a
-/// 1-byte opcode): COPY = op,dst,n,src; ADD = op,dst,n,payload.
+/// One parsed command. Wire form: a 1-byte opcode, then n as a
+/// little-endian u64; an ADD's payload follows. `dst` is not on the
+/// wire — parse() fills it from the cursor.
 struct Command {
-  enum : std::uint8_t { kCopy = 1, kAdd = 2 };
-  std::uint8_t op = kCopy;
+  enum : std::uint8_t { kSkip = 1, kAdd = 2 };
+  std::uint8_t op = kSkip;
   std::uint64_t dst = 0;
   std::uint64_t n = 0;
-  std::uint64_t src = 0;          ///< kCopy only
-  std::size_t payload_off = 0;    ///< kAdd only: offset into the stream
+  std::size_t payload_off = 0;  ///< kAdd only: offset into the stream
 };
 
 /// Encode target state against the in-memory base using the dirty
@@ -133,26 +126,17 @@ std::uint64_t encode_from_dirty(const Geometry& geo,
                                 std::span<const std::uint64_t> dirty_words,
                                 std::vector<std::uint8_t>& out);
 
-/// Encode `target` against `base` with no dirty information: one-pass
-/// hash diff, byte-verified matches, self-match preferred, commands
-/// topologically ordered for in-place apply. Returns the number of
-/// granules shipped as ADD payload.
-std::uint64_t encode_from_diff(const Geometry& geo,
-                               const ConstSections& base,
-                               const ConstSections& target,
-                               std::vector<std::uint8_t>& out);
-
-/// Validate a command stream: opcode, bounds, payload sizes, matching
-/// src/dst shapes for cross-COPYs, and exact coverage of all granules.
-/// False leaves `cmds` unspecified and means the stream must not be
-/// applied.
+/// Validate a command stream: opcodes, nonzero runs that stay inside the
+/// region, whole ADD payloads, and runs that end exactly at the last
+/// granule with no bytes after. False leaves `cmds` unspecified and
+/// means the stream must not be applied.
 [[nodiscard]] bool parse(const Geometry& geo,
                          std::span<const std::uint8_t> cmd_bytes,
                          std::vector<Command>& cmds);
 
-/// Apply a parse()-validated stream in place over the base sections, in
-/// stream order. Self-COPYs are no-ops; cross-COPYs move section
-/// slices; ADDs splat payload bytes (MACs decoded little-endian).
+/// Apply a parse()-validated stream in place over the base sections:
+/// SKIPs are no-ops; ADDs splat payload bytes (MACs decoded
+/// little-endian).
 void apply(const Geometry& geo, std::span<const Command> cmds,
            std::span<const std::uint8_t> cmd_bytes,
            const MutSections& sections);

@@ -132,8 +132,7 @@ SecureMemory::SecureMemory(const SecureMemoryConfig& config)
       counter_store_(layout_.num_counter_lines() * 64, 0),
       shadow_ctr_(layout_.num_blocks(), 0),
       batch_reencrypt_(resolved_batch_reencrypt()),
-      batch_snapshot_(batch_snapshot_enabled()),
-      delta_snapshot_(delta_snapshot_enabled()) {
+      batch_snapshot_(batch_snapshot_enabled()) {
   assert(config.size_bytes % 64 == 0 && config.size_bytes > 0);
   if (config.mac_placement == MacPlacement::kSeparate)
     macs_.resize(layout_.num_blocks(), 0);
@@ -742,9 +741,6 @@ ScrubReport SecureMemory::scrub_all(bool deep) {
 }
 
 namespace {
-constexpr char kImageMagic[8] = {'S', 'E', 'C', 'M', 'E', 'M', '0', '1'};
-constexpr char kDeltaMagic[8] = {'S', 'E', 'C', 'M', 'D', 'L', 'T', '1'};
-
 /// Domain constants for the snapshot-chain MACs (CwMac::compute_prf,
 /// ≤56 bits). These MACs are nonce-FREE by construction: chain roots
 /// repeat at every alignment point and epochs reset on restore, so the
@@ -772,6 +768,10 @@ static_assert(sizeof(EccLane) == kEccLaneBytes);
 
 /// MACs per endian-conversion chunk (64 KiB of stream traffic a flush).
 constexpr std::size_t kMacChunk = 8192;
+/// Delta image framing ahead of the command stream: magic, then nine
+/// u64 fields (geometry, epochs, base seal, command length, MAC).
+constexpr std::size_t kDeltaHeaderBytes =
+    sizeof(SecureMemory::kDeltaMagic) + 9 * 8;
 }  // namespace
 
 std::uint64_t SecureMemory::image_bytes() const noexcept {
@@ -780,6 +780,14 @@ std::uint64_t SecureMemory::image_bytes() const noexcept {
          layout_.num_blocks() * (kBlockBytes + kEccLaneBytes) +
          macs_.size() * 8 + counter_store_.size() +
          layout_.tree().nodes_at[top] * 64;
+}
+
+std::uint64_t SecureMemory::max_delta_image_bytes() const noexcept {
+  const unsigned top = layout_.tree().total_levels() - 1;
+  const std::uint64_t delta_bytes =
+      kDeltaHeaderBytes + delta::max_stream_bytes(delta_geometry()) +
+      layout_.tree().nodes_at[top] * 64;
+  return std::max(image_bytes(), delta_bytes);
 }
 
 Status SecureMemory::save(std::ostream& out) {
@@ -1116,8 +1124,7 @@ std::uint64_t SecureMemory::delta_cmd_mac(
   // and the expected-root trailer. Only the magic and the MAC itself
   // stay outside. The epochs are authenticated METADATA only, never a
   // MAC nonce — the epoch space is reused under one seal key (restore
-  // resets it, encode_delta pins 0→1), so only the nonce-free PRF form
-  // below is sound here.
+  // resets it), so only the nonce-free PRF form below is sound here.
   std::vector<std::uint8_t> message;
   message.reserve(8 * 8 + cmd.size() + trailer.size());
   const auto put = [&message](std::uint64_t v) {
@@ -1139,10 +1146,10 @@ std::uint64_t SecureMemory::delta_cmd_mac(
 }
 
 Status SecureMemory::save_delta(std::ostream& out) {
-  if (!delta_snapshot_ || !has_base_) {
-    // No usable base (kill switch, fresh engine, broken chain): fall
-    // back to a full image — which save() re-bases the chain on, so the
-    // NEXT save_delta is incremental again.
+  if (!has_base_) {
+    // No usable base (fresh engine, broken chain): fall back to a full
+    // image — which save() re-bases the chain on, so the NEXT
+    // save_delta is incremental again.
     metrics_.add(MetricId::kDeltaSaveFallbacks);
     return save(out);
   }
@@ -1192,7 +1199,7 @@ Status SecureMemory::save_delta(std::ostream& out) {
   align_chain();
   metrics_.add(MetricId::kDeltaSaves);
   metrics_.sample(EngineHistId::kDeltaImageBytes,
-                  sizeof(kDeltaMagic) + 9 * 8 + cmd.size() + trailer.size());
+                  kDeltaHeaderBytes + cmd.size() + trailer.size());
   metrics_.sample(EngineHistId::kDeltaDirtyGranules, dirty_count);
   return Status::kOk;
 }
@@ -1208,7 +1215,6 @@ std::optional<SecureMemory::StagedDelta> SecureMemory::stage_delta(
 
 std::optional<SecureMemory::StagedDelta> SecureMemory::stage_delta_tail(
     std::istream& in) {
-  if (!delta_snapshot_) return std::nullopt;  // kill switch: full only
   if (read_u64(in) != config_.size_bytes) return std::nullopt;
   if (read_u64(in) != static_cast<std::uint64_t>(config_.scheme))
     return std::nullopt;
@@ -1222,13 +1228,9 @@ std::optional<SecureMemory::StagedDelta> SecureMemory::stage_delta_tail(
   const std::uint64_t mac = read_u64(in);
   if (!in) return std::nullopt;
 
-  // Bound the allocation before trusting cmd_len: no valid stream
-  // exceeds one command header plus full payload per granule.
+  // Bound the allocation before trusting cmd_len.
   const delta::Geometry geo = delta_geometry();
-  std::uint64_t cmd_bound = 0;
-  for (std::uint64_t g = 0; g < geo.num_granules(); ++g)
-    cmd_bound += 25 + geo.payload_bytes(g);
-  if (cmd_len > cmd_bound) return std::nullopt;
+  if (cmd_len > delta::max_stream_bytes(geo)) return std::nullopt;
 
   StagedDelta staged;
   staged.new_epoch = new_epoch;
@@ -1272,7 +1274,7 @@ bool SecureMemory::commit_delta(StagedDelta&& staged) {
   // full rebuild — the in-place payoff on restore), and the per-block
   // shadow counters.
   for (const delta::Command& cmd : staged.cmds) {
-    if (cmd.op == delta::Command::kCopy && cmd.src == cmd.dst) continue;
+    if (cmd.op == delta::Command::kSkip) continue;
     for (std::uint64_t g = cmd.dst; g < cmd.dst + cmd.n; ++g) {
       const std::uint64_t line0 = geo.line_start(g);
       for (std::uint64_t line = line0; line < line0 + geo.lines_in(g);
@@ -1339,82 +1341,6 @@ bool SecureMemory::restore_delta(std::istream& in) {
     return false;
   }
   return commit_delta(std::move(*staged));
-}
-
-Status SecureMemory::encode_delta(std::span<const std::uint8_t> base_image,
-                                  std::span<const std::uint8_t> target_image,
-                                  std::ostream& out) const {
-  struct Parsed {
-    delta::ConstSections sections;
-    std::span<const std::uint8_t> root;
-    std::vector<std::uint64_t> mac_words;
-  };
-  const std::uint64_t nb = layout_.num_blocks();
-  const auto slice = [&](std::span<const std::uint8_t> img,
-                         Parsed& parsed) -> bool {
-    if (img.size() != image_bytes()) return false;
-    if (std::memcmp(img.data(), kImageMagic, sizeof(kImageMagic)) != 0)
-      return false;
-    std::size_t off = sizeof(kImageMagic);
-    const auto field = [&img, &off] {
-      const std::uint64_t v = load_le64(img.data() + off);
-      off += 8;
-      return v;
-    };
-    if (field() != config_.size_bytes ||
-        field() != static_cast<std::uint64_t>(config_.scheme) ||
-        field() != static_cast<std::uint64_t>(config_.mac_placement) ||
-        field() != config_.generic_delta_bits)
-      return false;
-    // DataBlock/EccLane are byte arrays (alignment 1), so the image's
-    // contiguous sections reinterpret directly; MAC words decode into
-    // owned storage.
-    parsed.sections.ciphertext = std::span<const DataBlock>(
-        reinterpret_cast<const DataBlock*>(img.data() + off), nb);
-    off += nb * sizeof(DataBlock);
-    parsed.sections.lanes = std::span<const EccLane>(
-        reinterpret_cast<const EccLane*>(img.data() + off), nb);
-    off += nb * sizeof(EccLane);
-    parsed.mac_words.resize(macs_.size());
-    for (std::uint64_t& w : parsed.mac_words) {
-      w = load_le64(img.data() + off);
-      off += 8;
-    }
-    parsed.sections.macs = parsed.mac_words;
-    parsed.sections.counters = img.subspan(off, counter_store_.size());
-    off += counter_store_.size();
-    parsed.root = img.subspan(off);
-    return true;
-  };
-
-  Parsed base, target;
-  if (!slice(base_image, base) || !slice(target_image, target))
-    return Status::kIntegrityViolation;
-
-  std::vector<std::uint8_t> cmd;
-  delta::encode_from_diff(delta_geometry(), base.sections, target.sections,
-                          cmd);
-  const std::uint64_t base_seal = seal_root_bytes(base.root);
-  const std::uint64_t mac =
-      delta_cmd_mac(0, 1, base_seal, cmd,
-                    {target.root.data(), target.root.size()});
-
-  out.write(kDeltaMagic, sizeof(kDeltaMagic));
-  write_u64(out, config_.size_bytes);
-  write_u64(out, static_cast<std::uint64_t>(config_.scheme));
-  write_u64(out, static_cast<std::uint64_t>(config_.mac_placement));
-  write_u64(out, config_.generic_delta_bits);
-  write_u64(out, 0);  // base epoch (informational — acceptance is by seal,
-  write_u64(out, 1);  // and the epochs are MAC'd metadata, not nonces)
-  write_u64(out, base_seal);
-  write_u64(out, cmd.size());
-  write_u64(out, mac);
-  out.write(reinterpret_cast<const char*>(cmd.data()),
-            static_cast<std::streamsize>(cmd.size()));
-  out.write(reinterpret_cast<const char*>(target.root.data()),
-            static_cast<std::streamsize>(target.root.size()));
-  out.flush();
-  return out ? Status::kOk : Status::kSnapshotIoError;
 }
 
 bool SecureMemory::rotate_master_key(std::uint64_t new_master) {

@@ -241,7 +241,7 @@ class SecureMemory : public SecureMemoryLike {
   /// dirty bitmap (a granule = lcm(blocks_per_group,
   /// blocks_per_storage_line) blocks — whole re-encryption groups and
   /// whole counter lines, so a granule's payload is self-contained).
-  /// save_delta drains that bitmap into a COPY/ADD stream sealed by a
+  /// save_delta drains that bitmap into a SKIP/ADD stream sealed by a
   /// MAC over the header + commands + expected-root trailer, bound to
   /// the *base seal* — a MAC over the tree's root level at the last
   /// alignment point — so a delta only ever applies on top of the exact
@@ -257,16 +257,6 @@ class SecureMemory : public SecureMemoryLike {
   /// save_delta falls back to a full image and re-bases it.
   [[nodiscard]] Status save_delta(std::ostream& out) override;
   [[nodiscard]] bool restore_delta(std::istream& in) override;
-
-  /// Diff two full save() images of THIS engine's geometry into a delta
-  /// stream restore_delta accepts (cross-instance replication under the
-  /// same master secret — the command MAC and seals derive from it). No
-  /// dirty information: a one-pass block-hash diff finds the COPYs.
-  /// kIntegrityViolation if either buffer is not a full image of this
-  /// geometry; nothing is written in that case.
-  [[nodiscard]] Status encode_delta(std::span<const std::uint8_t> base_image,
-                                    std::span<const std::uint8_t> target_image,
-                                    std::ostream& out) const;
 
   /// Dirty-plane observability: granule size in blocks, granules touched
   /// since the last alignment point, the chain epoch, and whether a
@@ -294,6 +284,18 @@ class SecureMemory : public SecureMemoryLike {
   /// facades slicing a concatenated multi-engine image (the sharded
   /// container's parallel restore) size their cuts with this.
   std::uint64_t image_bytes() const noexcept;
+  /// Upper bound on the bytes save_delta() emits, its full-image
+  /// fallback included — the sharded container caps its untrusted
+  /// length table with this.
+  std::uint64_t max_delta_image_bytes() const noexcept;
+
+  /// Leading magics of save() images and save_delta() delta images. This
+  /// is their one definition: the sharded container routes its
+  /// per-shard slices on them.
+  static constexpr char kImageMagic[8] = {'S', 'E', 'C', 'M',
+                                          'E', 'M', '0', '1'};
+  static constexpr char kDeltaMagic[8] = {'S', 'E', 'C', 'M',
+                                          'D', 'L', 'T', '2'};
 
   // Keep the base class's std::byte-span / buffer overloads visible next
   // to the overrides above.
@@ -623,12 +625,6 @@ class SecureMemory : public SecureMemoryLike {
   /// pins save/stage_restore/commit_restore to the scalar per-element
   /// reference paths (differential reference for the snapshot pipeline).
   bool batch_snapshot_ = true;
-  /// SECMEM_DELTA_SNAPSHOT kill switch, sampled at construction: false
-  /// makes save_delta emit full images and restore_delta reject
-  /// delta-format ones (dirty tracking still runs — it is one relaxed
-  /// fetch_or per store and keeping it unconditional means the kill
-  /// switch changes emitted bytes, never engine state).
-  bool delta_snapshot_ = true;
 
   /// Dirty plane: bit per granule, relaxed atomics so the const shared
   /// read path's facades never contend with it (only store paths touch

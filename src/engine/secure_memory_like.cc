@@ -2,9 +2,11 @@
 
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
+#include <istream>
+#include <ostream>
 #include <stdexcept>
 
+#include "engine/byte_stream.h"
 #include "engine/concurrent.h"
 #include "engine/secure_memory.h"
 #include "engine/sharded_memory.h"
@@ -38,41 +40,38 @@ Status SecureMemoryLike::write_blocks(std::span<const BlockWrite> writes) {
   return folded;
 }
 
-Status SecureMemoryLike::save(std::vector<std::byte>& image) {
-  std::ostringstream out(std::ios::binary);
-  const Status status = save(out);
+namespace {
+/// Run a stream-form save (`save` or `save_delta`) into `image`. On
+/// failure `image` is left empty, whatever the stream received.
+template <class SaveFn>
+Status save_into(std::vector<std::byte>& image, SaveFn&& save_fn) {
   image.clear();
-  if (status_ok(status)) {
-    const std::string bytes = std::move(out).str();
-    image.resize(bytes.size());
-    std::memcpy(image.data(), bytes.data(), bytes.size());
-  }
+  VectorSink sink(image);
+  std::ostream out(&sink);
+  const Status status = save_fn(out);
+  if (!status_ok(status)) image.clear();
   return status;
+}
+}  // namespace
+
+Status SecureMemoryLike::save(std::vector<std::byte>& image) {
+  return save_into(image, [this](std::ostream& out) { return save(out); });
 }
 
 bool SecureMemoryLike::restore(std::span<const std::byte> image) {
-  std::istringstream in(
-      std::string(reinterpret_cast<const char*>(image.data()), image.size()),
-      std::ios::binary);
+  SpanSource source(image.data(), image.size());
+  std::istream in(&source);
   return restore(in);
 }
 
 Status SecureMemoryLike::save_delta(std::vector<std::byte>& image) {
-  std::ostringstream out(std::ios::binary);
-  const Status status = save_delta(out);
-  image.clear();
-  if (status_ok(status)) {
-    const std::string bytes = std::move(out).str();
-    image.resize(bytes.size());
-    std::memcpy(image.data(), bytes.data(), bytes.size());
-  }
-  return status;
+  return save_into(image,
+                   [this](std::ostream& out) { return save_delta(out); });
 }
 
 bool SecureMemoryLike::restore_delta(std::span<const std::byte> image) {
-  std::istringstream in(
-      std::string(reinterpret_cast<const char*>(image.data()), image.size()),
-      std::ios::binary);
+  SpanSource source(image.data(), image.size());
+  std::istream in(&source);
   return restore_delta(in);
 }
 
@@ -150,11 +149,6 @@ bool seqlock_reads_enabled() noexcept {
 
 bool batch_snapshot_enabled() noexcept {
   const char* env = std::getenv("SECMEM_BATCH_SNAPSHOT");
-  return env == nullptr || std::strcmp(env, "0") != 0;
-}
-
-bool delta_snapshot_enabled() noexcept {
-  const char* env = std::getenv("SECMEM_DELTA_SNAPSHOT");
   return env == nullptr || std::strcmp(env, "0") != 0;
 }
 

@@ -172,13 +172,13 @@ class SecureMemoryLike {
   /// ------------------------------------------------------------------
   /// Incremental (delta) persistence.
   /// ------------------------------------------------------------------
-  /// `save_delta` emits a COPY/ADD delta image against the engine's last
+  /// `save_delta` emits a SKIP/ADD delta image against the engine's last
   /// snapshot alignment point (the most recent save/restore/
   /// save_delta/restore_delta) from the dirty-granule bitmap: only the
   /// block groups touched since that point ship as payload. When no base
-  /// is known (fresh engine, after a key rotation, or with
-  /// SECMEM_DELTA_SNAPSHOT=0) it falls back to a full save() image —
-  /// callers always get something restore_delta accepts.
+  /// is known (fresh engine, after a key rotation) it falls back to a
+  /// full save() image — callers always get something restore_delta
+  /// accepts.
   ///
   /// `restore_delta` accepts both image kinds, dispatching on the magic:
   /// a full image takes the ordinary restore path (including its
@@ -192,7 +192,9 @@ class SecureMemoryLike {
   [[nodiscard]] virtual bool restore_delta(std::istream& in) = 0;
 
   /// Buffer-based persistence conveniences over the stream virtuals:
-  /// save() fills `image` (cleared first), restore() consumes a span.
+  /// save() serializes straight into `image` (cleared first), restore()
+  /// parses the span in place — no intermediate copy either way. The
+  /// bytes are exactly what the stream overloads emit.
   [[nodiscard]] Status save(std::vector<std::byte>& image);
   [[nodiscard]] bool restore(std::span<const std::byte> image);
   [[nodiscard]] Status save_delta(std::vector<std::byte>& image);
@@ -244,13 +246,6 @@ bool seqlock_reads_enabled() noexcept;
 /// images and accept exactly the same ones. Sampled once at engine
 /// construction, like SECMEM_SEQLOCK.
 bool batch_snapshot_enabled() noexcept;
-
-/// Kill switch for delta-encoded snapshots: SECMEM_DELTA_SNAPSHOT=0 in
-/// the environment makes save_delta emit full images and restore_delta
-/// reject delta-format images (full images are still accepted); anything
-/// else — including unset — enables the incremental pipeline. Sampled
-/// once at engine construction, like SECMEM_BATCH_SNAPSHOT.
-bool delta_snapshot_enabled() noexcept;
 
 /// Instantiate an engine. `shards` only matters for kSharded (0 picks 8).
 std::unique_ptr<SecureMemoryLike> make_engine(

@@ -8,12 +8,12 @@
 #include <numeric>
 #include <ostream>
 #include <stdexcept>
-#include <streambuf>
 #include <string>
 #include <thread>
 
 #include "common/bitops.h"
 #include "common/rng.h"
+#include "engine/byte_stream.h"
 
 namespace secmem {
 
@@ -47,50 +47,11 @@ constexpr char kShardMagic[8] = {'S', 'E', 'C', 'S', 'H', 'R', 'D', '1'};
 /// payloads (each a SecureMemory full OR delta image, sniffed on its
 /// own magic below — a shard with a broken chain falls back to full).
 constexpr char kShardDeltaMagic[8] = {'S', 'E', 'C', 'S', 'H', 'D', 'L', '1'};
-/// The per-engine image magics (owned by secure_memory.cc, which
-/// validates them again when staging — these copies only route slices).
-constexpr char kEngineImageMagic[8] = {'S', 'E', 'C', 'M', 'E', 'M', '0', '1'};
-constexpr char kEngineDeltaMagic[8] = {'S', 'E', 'C', 'M', 'D', 'L', 'T', '1'};
 
 double seconds_between(std::chrono::steady_clock::time_point a,
                        std::chrono::steady_clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
 }
-
-/// ostream sink appending straight into a caller-owned byte vector, so
-/// the parallel save workers each serialize into private storage instead
-/// of contending on one shared stream. reserve() up front makes xsputn
-/// a memcpy-and-bump in steady state.
-class VectorSink final : public std::streambuf {
- public:
-  explicit VectorSink(std::vector<char>& out) : out_(out) {}
-
- protected:
-  std::streamsize xsputn(const char* s, std::streamsize n) override {
-    out_.insert(out_.end(), s, s + n);
-    return n;
-  }
-  int_type overflow(int_type ch) override {
-    if (!traits_type::eq_int_type(ch, traits_type::eof()))
-      out_.push_back(traits_type::to_char_type(ch));
-    return ch;
-  }
-
- private:
-  std::vector<char>& out_;
-};
-
-/// istream source over a borrowed byte slice — each parallel restore
-/// worker parses its cut of the bulk-read container without copying it.
-/// The const_cast is the std::streambuf get-area API's; the get area is
-/// never written through.
-class SpanSource final : public std::streambuf {
- public:
-  SpanSource(const char* data, std::size_t size) {
-    char* p = const_cast<char*>(data);
-    setg(p, p, p + size);
-  }
-};
 
 void write_u64(std::ostream& out, std::uint64_t v) {
   std::uint8_t buf[8];
@@ -974,12 +935,9 @@ bool ShardedSecureMemory::restore_delta_tail(std::istream& in,
   if (read_u64(in) != granule_blocks_) return false;
 
   // Length table. Each slice must at least hold a magic and can never
-  // exceed a full image plus the delta framing (header + worst-case
-  // all-ADD command stream) — a hostile table must not size the bulk
-  // read.
-  const std::uint64_t blocks_per_shard = num_blocks_ / num_shards_;
-  const std::uint64_t slice_cap = shards_[0].engine->image_bytes() +
-                                  25 * blocks_per_shard + 4096;
+  // exceed the largest image a shard's save_delta emits — a hostile
+  // table must not size the bulk read.
+  const std::uint64_t slice_cap = shards_[0].engine->max_delta_image_bytes();
   std::vector<std::uint64_t> lengths(num_shards_);
   std::uint64_t total = 0;
   for (unsigned s = 0; s < num_shards_; ++s) {
@@ -1013,8 +971,8 @@ bool ShardedSecureMemory::restore_delta_tail(std::istream& in,
   for (unsigned s = 1; s < num_shards_; ++s)
     offsets[s] = offsets[s - 1] + static_cast<std::size_t>(lengths[s - 1]);
 
-  // Stage every slice — sniffing each on ITS magic: kEngineDeltaMagic
-  // is a delta against that shard's current chain, kEngineImageMagic a
+  // Stage every slice — sniffing each on ITS magic: kDeltaMagic is a
+  // delta against that shard's current chain, kImageMagic a
   // full fallback image (staged under the REGION-derived master, the
   // same un-poisoning rule as restore_full_tail). All checks — command
   // MAC, base seal, command-stream validation, sealed root — happen
@@ -1031,10 +989,10 @@ bool ShardedSecureMemory::restore_delta_tail(std::istream& in,
     const auto len = static_cast<std::size_t>(lengths[s]);
     SpanSource source(slice, len);
     std::istream shard_in(&source);
-    if (std::memcmp(slice, kEngineDeltaMagic, 8) == 0) {
+    if (std::memcmp(slice, SecureMemory::kDeltaMagic, 8) == 0) {
       staged[s].delta = engines[s]->stage_delta(shard_in);
       staged[s].ok = staged[s].delta.has_value();
-    } else if (std::memcmp(slice, kEngineImageMagic, 8) == 0) {
+    } else if (std::memcmp(slice, SecureMemory::kImageMagic, 8) == 0) {
       staged[s].full = engines[s]->stage_restore(
           shard_in, shard_master_key(config_.master_key, s));
       staged[s].ok = staged[s].full.has_value();

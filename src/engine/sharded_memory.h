@@ -217,7 +217,7 @@ class ShardedSecureMemory : public SecureMemoryLike {
   /// Delta persistence: a shard-count-tagged container of per-shard
   /// delta images (see SecureMemory::save_delta). Unlike the full
   /// container, per-shard payloads are variable-sized — a shard with a
-  /// hot working set emits a small COPY/ADD delta while a shard with a
+  /// hot working set emits a small SKIP/ADD delta while a shard with a
   /// broken chain (fresh, just rotated) falls back to its full image —
   /// so a length table sits between the header and the payloads, and
   /// every shard serializes into a private buffer regardless of the

@@ -1,10 +1,10 @@
-// secmem::delta codec unit tests: geometry math (tail granules), both
-// encoders round-tripping through parse + in-place apply, the
-// topological ordering of cross-COPYs (including the swap cycle the
-// encoder must break by demoting a COPY to an ADD), and the parser's
-// rejection contract — truncation, bad opcodes, bounds, double cover,
-// incomplete cover. The engine-level sealing/authentication sits on top
-// of this codec and is covered by test_delta_snapshot.cc.
+// secmem::delta codec unit tests: geometry math (tail granules), the
+// dirty-bitmap encoder round-tripping through parse + in-place apply,
+// the wire sizes of its SKIP/ADD runs, and the parser's rejection
+// contract — truncation, bad opcodes, empty runs, overruns, short
+// cover, trailing bytes, short ADD payloads. The engine-level
+// sealing/authentication sits on top of this codec and is covered by
+// test_delta_snapshot.cc.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -54,25 +54,6 @@ Image make_image(const Geometry& geo, std::uint64_t seed) {
   return img;
 }
 
-/// Copy granule `src` of `from` over granule `dst` of `to` (same shape).
-void copy_granule(const Geometry& geo, const Image& from, std::uint64_t src,
-                  Image& to, std::uint64_t dst) {
-  const std::uint64_t nb = geo.blocks_in(src);
-  ASSERT_EQ(nb, geo.blocks_in(dst));
-  for (std::uint64_t b = 0; b < nb; ++b) {
-    to.ciphertext[geo.block_start(dst) + b] =
-        from.ciphertext[geo.block_start(src) + b];
-    to.lanes[geo.block_start(dst) + b] =
-        from.lanes[geo.block_start(src) + b];
-    if (geo.separate_macs)
-      to.macs[geo.block_start(dst) + b] =
-          from.macs[geo.block_start(src) + b];
-  }
-  std::memcpy(to.counters.data() + geo.line_start(dst) * 64,
-              from.counters.data() + geo.line_start(src) * 64,
-              geo.lines_in(src) * 64);
-}
-
 /// Round-trip helper: encode target-vs-base, parse, apply over a copy of
 /// base, expect the reconstruction to equal target bit for bit.
 void expect_roundtrip(const Geometry& geo, const Image& base,
@@ -115,14 +96,19 @@ TEST(DeltaGeometry, TailGranuleMath) {
   EXPECT_EQ(no_macs.payload_bytes(0), 8 * (64 + 8) + 2 * 64u);
 }
 
+/// Wire size of one command header: opcode byte + u64 run length.
+constexpr std::size_t kHeader = 1 + 8;
+
 TEST(DeltaDirtyEncode, CleanBitmapIsAllSelfCopy) {
   const Geometry geo = tail_geometry(false);
   const Image base = make_image(geo, 1);
   std::vector<std::uint64_t> dirty(geo.dirty_words(), 0);
   std::vector<std::uint8_t> cmd;
   EXPECT_EQ(encode_from_dirty(geo, base.view(), dirty, cmd), 0u);
-  // One coalesced self-COPY covering everything: 25 wire bytes.
-  EXPECT_EQ(cmd.size(), 25u);
+  // One SKIP covering every granule: a single header, no payload.
+  ASSERT_EQ(cmd.size(), kHeader);
+  EXPECT_EQ(cmd[0], Command::kSkip);
+  EXPECT_EQ(load_le64(cmd.data() + 1), geo.num_granules());
   expect_roundtrip(geo, base, base, cmd);
 }
 
@@ -152,64 +138,17 @@ TEST(DeltaDirtyEncode, AllDirtyShipsWholeImage) {
   std::vector<std::uint8_t> cmd;
   EXPECT_EQ(encode_from_dirty(geo, target.view(), dirty, cmd),
             geo.num_granules());
+  // One ADD run: a single header plus every granule's payload, i.e. the
+  // payload part of max_stream_bytes.
+  std::uint64_t payload = 0;
+  for (std::uint64_t g = 0; g < geo.num_granules(); ++g)
+    payload += geo.payload_bytes(g);
+  EXPECT_EQ(payload + geo.num_granules() * kHeader, max_stream_bytes(geo));
+  EXPECT_EQ(cmd.size(), payload + kHeader);
   expect_roundtrip(geo, base, target, cmd);
 }
 
-TEST(DeltaDiffEncode, IdenticalImagesNeedZeroAdds) {
-  const Geometry geo = tail_geometry(true);
-  const Image base = make_image(geo, 5);
-  std::vector<std::uint8_t> cmd;
-  EXPECT_EQ(encode_from_diff(geo, base.view(), base.view(), cmd), 0u);
-  // Self-match preferred: one coalesced self-COPY, no payload.
-  EXPECT_EQ(cmd.size(), 25u);
-  expect_roundtrip(geo, base, base, cmd);
-}
-
-TEST(DeltaDiffEncode, FindsCrossCopiesAndAdds) {
-  const Geometry geo = tail_geometry(false);
-  const Image base = make_image(geo, 6);
-  Image target = make_image(geo, 7);
-  // Target granule 0 = base granule 2 (a cross-COPY the hash diff must
-  // find); granule 1 = base granule 1 (self); granules 2..4 are new.
-  copy_granule(geo, base, 2, target, 0);
-  copy_granule(geo, base, 1, target, 1);
-  std::vector<std::uint8_t> cmd;
-  const std::uint64_t adds =
-      encode_from_diff(geo, base.view(), target.view(), cmd);
-  EXPECT_EQ(adds, 3u);
-  expect_roundtrip(geo, base, target, cmd);
-}
-
-TEST(DeltaDiffEncode, SwapCycleBrokenByDemotion) {
-  // Granules 0 and 1 swap: COPY 0<-1 and COPY 1<-0 form a cycle no
-  // in-place order satisfies, so the encoder must demote one to an ADD.
-  const Geometry geo = tail_geometry(true);
-  const Image base = make_image(geo, 8);
-  Image target = base;
-  copy_granule(geo, base, 1, target, 0);
-  copy_granule(geo, base, 0, target, 1);
-  std::vector<std::uint8_t> cmd;
-  const std::uint64_t adds =
-      encode_from_diff(geo, base.view(), target.view(), cmd);
-  EXPECT_EQ(adds, 1u) << "exactly one side of the swap ships as payload";
-  expect_roundtrip(geo, base, target, cmd);
-}
-
-TEST(DeltaDiffEncode, ChainedMoveOrderedForInPlaceApply) {
-  // Target: 0 <- base1, 1 <- base2, 2 <- new. An in-place apply must
-  // read base granule 1 before overwriting it — acyclic, but order
-  // matters; a stream-order apply only works if Kahn emitted it right.
-  const Geometry geo = tail_geometry(false);
-  const Image base = make_image(geo, 9);
-  Image target = make_image(geo, 10);
-  copy_granule(geo, base, 1, target, 0);
-  copy_granule(geo, base, 2, target, 1);
-  std::vector<std::uint8_t> cmd;
-  encode_from_diff(geo, base.view(), target.view(), cmd);
-  expect_roundtrip(geo, base, target, cmd);
-}
-
-TEST(DeltaDiffEncode, RandomizedRoundTrips) {
+TEST(DeltaDirtyEncode, RandomBitmapsRoundTrip) {
   Xoshiro256 rng(0xD17F);
   for (int trial = 0; trial < 20; ++trial) {
     Geometry geo;
@@ -219,48 +158,62 @@ TEST(DeltaDiffEncode, RandomizedRoundTrips) {
     geo.granule_blocks = 8;
     geo.separate_macs = (trial & 1) != 0;
     const Image base = make_image(geo, 100 + trial);
-    Image target = make_image(geo, 200 + trial);
-    // Random granule-level mixture of self, cross, and fresh content.
+    const Image fresh = make_image(geo, 200 + trial);
+    // Dirty granules take fresh content; clean ones keep the base's.
+    Image target = base;
+    std::vector<std::uint64_t> dirty(geo.dirty_words(), 0);
+    std::uint64_t dirty_count = 0;
     for (std::uint64_t g = 0; g < geo.num_granules(); ++g) {
-      const std::uint64_t pick = rng.next_below(3);
-      const std::uint64_t src = rng.next_below(geo.num_granules());
-      if (pick == 0 && geo.blocks_in(src) == geo.blocks_in(g))
-        copy_granule(geo, base, src, target, g);
-      else if (pick == 1)
-        copy_granule(geo, base, g, target, g);
+      if (rng.next_below(2) == 0) continue;
+      dirty[g / 64] |= std::uint64_t{1} << (g % 64);
+      ++dirty_count;
+      const std::uint64_t b0 = geo.block_start(g);
+      for (std::uint64_t b = b0; b < b0 + geo.blocks_in(g); ++b) {
+        target.ciphertext[b] = fresh.ciphertext[b];
+        target.lanes[b] = fresh.lanes[b];
+        if (geo.separate_macs) target.macs[b] = fresh.macs[b];
+      }
+      std::memcpy(target.counters.data() + geo.line_start(g) * 64,
+                  fresh.counters.data() + geo.line_start(g) * 64,
+                  geo.lines_in(g) * 64);
     }
     std::vector<std::uint8_t> cmd;
-    encode_from_diff(geo, base.view(), target.view(), cmd);
+    EXPECT_EQ(encode_from_dirty(geo, target.view(), dirty, cmd),
+              dirty_count);
+    EXPECT_LE(cmd.size(), max_stream_bytes(geo));
     expect_roundtrip(geo, base, target, cmd);
   }
 }
 
 // ----------------------------------------------------- parser rejection
 
-/// Hand-rolled wire helpers for malformed-stream tests.
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
+/// Hand-rolled wire helper for malformed-stream tests.
+void put_cmd(std::vector<std::uint8_t>& out, std::uint8_t op,
+             std::uint64_t n) {
+  out.push_back(op);
   std::uint8_t le[8];
-  store_le64(le, v);
+  store_le64(le, n);
   out.insert(out.end(), le, le + 8);
-}
-void put_copy(std::vector<std::uint8_t>& out, std::uint64_t dst,
-              std::uint64_t n, std::uint64_t src) {
-  out.push_back(Command::kCopy);
-  put_u64(out, dst);
-  put_u64(out, n);
-  put_u64(out, src);
 }
 
 TEST(DeltaParse, RejectsMalformedStreams) {
   const Geometry geo = tail_geometry(false);
+  const std::uint64_t granules = geo.num_granules();
   std::vector<Command> cmds;
 
-  // Valid baseline: one self-COPY over all 5 granules.
+  // Valid baseline: SKIP the first four granules, ADD the short tail.
   std::vector<std::uint8_t> ok;
-  put_copy(ok, 0, geo.num_granules(), 0);
+  put_cmd(ok, Command::kSkip, granules - 1);
+  put_cmd(ok, Command::kAdd, 1);
+  ok.resize(ok.size() + geo.payload_bytes(granules - 1), 0xEE);
   ASSERT_TRUE(parse(geo, ok, cmds));
+  ASSERT_EQ(cmds.size(), 2u);
+  EXPECT_EQ(cmds[0].dst, 0u);
+  EXPECT_EQ(cmds[1].dst, granules - 1);  // filled from the cursor
+  EXPECT_EQ(cmds[1].payload_off, 2 * kHeader);
 
-  // Every proper prefix is a truncation.
+  // Every proper prefix is a truncation: a cut header, a cover that
+  // ends early, or a short ADD payload.
   for (std::size_t keep = 0; keep < ok.size(); ++keep) {
     EXPECT_FALSE(parse(
         geo, std::span<const std::uint8_t>(ok.data(), keep), cmds))
@@ -268,50 +221,59 @@ TEST(DeltaParse, RejectsMalformedStreams) {
   }
 
   std::vector<std::uint8_t> bad;
-  // Unknown opcode.
+  // Unknown opcodes, first and mid-stream.
+  for (const std::uint8_t op : {0, 3, 0xFF}) {
+    bad = ok;
+    bad[0] = op;
+    EXPECT_FALSE(parse(geo, bad, cmds)) << "op " << int{op};
+    bad = ok;
+    bad[kHeader] = op;
+    EXPECT_FALSE(parse(geo, bad, cmds)) << "op " << int{op};
+  }
+  // Zero-length runs, SKIP and ADD alike.
+  for (const std::uint8_t op : {Command::kSkip, Command::kAdd}) {
+    bad.clear();
+    put_cmd(bad, op, 0);
+    put_cmd(bad, Command::kSkip, granules);
+    EXPECT_FALSE(parse(geo, bad, cmds)) << "op " << int{op};
+  }
+  // Runs past the last granule: from the start, from a nonzero cursor,
+  // and a length that would wrap the cursor.
+  bad.clear();
+  put_cmd(bad, Command::kSkip, granules + 1);
+  EXPECT_FALSE(parse(geo, bad, cmds));
+  bad.clear();
+  put_cmd(bad, Command::kSkip, 2);
+  put_cmd(bad, Command::kSkip, granules - 1);
+  EXPECT_FALSE(parse(geo, bad, cmds));
+  bad.clear();
+  put_cmd(bad, Command::kSkip, 1);
+  put_cmd(bad, Command::kSkip, ~std::uint64_t{0});
+  EXPECT_FALSE(parse(geo, bad, cmds));
+  // Short cover: the runs stop before the last granule.
+  bad.clear();
+  put_cmd(bad, Command::kSkip, granules - 1);
+  EXPECT_FALSE(parse(geo, bad, cmds));
+  // Trailing bytes after full cover: one stray byte, or a whole extra
+  // command.
   bad = ok;
-  bad[0] = 7;
+  bad.push_back(0);
   EXPECT_FALSE(parse(geo, bad, cmds));
-  // Zero-length command.
-  bad.clear();
-  put_copy(bad, 0, 0, 0);
-  put_copy(bad, 0, geo.num_granules(), 0);
+  bad = ok;
+  put_cmd(bad, Command::kSkip, 1);
   EXPECT_FALSE(parse(geo, bad, cmds));
-  // Destination out of bounds.
-  bad.clear();
-  put_copy(bad, 1, geo.num_granules(), 1);
-  EXPECT_FALSE(parse(geo, bad, cmds));
-  // Source out of bounds.
-  bad.clear();
-  put_copy(bad, 0, geo.num_granules(), 1);
-  EXPECT_FALSE(parse(geo, bad, cmds));
-  // Double cover.
-  bad.clear();
-  put_copy(bad, 0, geo.num_granules(), 0);
-  put_copy(bad, 2, 1, 2);
-  EXPECT_FALSE(parse(geo, bad, cmds));
-  // Incomplete cover.
-  bad.clear();
-  put_copy(bad, 0, geo.num_granules() - 1, 0);
-  EXPECT_FALSE(parse(geo, bad, cmds));
-  // Cross-COPY pairing a full source with the short tail destination:
-  // shapes differ, so the parser must refuse even though both indices
-  // are in range.
-  bad.clear();
-  put_copy(bad, 0, geo.num_granules() - 1, 0);
-  put_copy(bad, 4, 1, 0);
-  EXPECT_FALSE(parse(geo, bad, cmds));
-  // ADD whose payload is cut short.
-  bad.clear();
-  put_copy(bad, 0, geo.num_granules() - 1, 0);
-  bad.push_back(Command::kAdd);
-  put_u64(bad, 4);
-  put_u64(bad, 1);
-  bad.resize(bad.size() + geo.payload_bytes(4) - 1, 0xEE);
-  EXPECT_FALSE(parse(geo, bad, cmds));
-  // ...and whole again with the last payload byte present.
-  bad.push_back(0xEE);
-  EXPECT_TRUE(parse(geo, bad, cmds));
+  // ADD whose payload is one byte short, exact, and one byte long —
+  // here the ADD is followed by a SKIP, so a short payload misframes
+  // the next header rather than running off the end.
+  std::vector<std::uint8_t> add;
+  put_cmd(add, Command::kAdd, 1);
+  const std::size_t need = geo.payload_bytes(0);
+  for (const std::size_t len : {need - 1, need, need + 1}) {
+    bad = add;
+    bad.resize(bad.size() + len, 0xEE);
+    put_cmd(bad, Command::kSkip, granules - 1);
+    EXPECT_EQ(parse(geo, bad, cmds), len == need) << "payload " << len;
+  }
 }
 
 }  // namespace

@@ -3,15 +3,14 @@
 // crash/restore loops where every failed (tampered) apply leaves the
 // region intact for the clean retry, stale-delta replay rejection, key
 // rotation breaking the chain and falling back to full images, the
-// SECMEM_DELTA_SNAPSHOT kill switch, the exhaustive
-// every-byte-flip-rejects contract on sealed delta images, and the
-// cross-instance encode_delta image diff. The codec underneath is unit
+// exhaustive every-byte-flip-rejects contract on sealed delta images,
+// refusal of the previous delta format by its magic, and the
+// vector/span persistence conveniences. The codec underneath is unit
 // tested in test_delta_image.cc.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <cstddef>
 #include <memory>
-#include <optional>
 #include <ostream>
 #include <span>
 #include <sstream>
@@ -27,29 +26,6 @@
 
 namespace secmem {
 namespace {
-
-/// Scoped environment override (restores the previous value on exit).
-/// The delta kill switch is sampled at engine construction, so the
-/// full-only engines are built inside one of these.
-class EnvOverride {
- public:
-  EnvOverride(const char* name, const char* value) : name_(name) {
-    if (const char* prev = std::getenv(name)) prev_ = prev;
-    setenv(name, value, 1);
-  }
-  ~EnvOverride() {
-    if (prev_)
-      setenv(name_.c_str(), prev_->c_str(), 1);
-    else
-      unsetenv(name_.c_str());
-  }
-  EnvOverride(const EnvOverride&) = delete;
-  EnvOverride& operator=(const EnvOverride&) = delete;
-
- private:
-  std::string name_;
-  std::optional<std::string> prev_;
-};
 
 DataBlock pattern(std::uint8_t seed) {
   DataBlock b{};
@@ -107,19 +83,18 @@ std::unique_ptr<SecureMemoryLike> make_engine(EngineKind kind) {
   return nullptr;
 }
 
-/// Parameterized over engine kind x delta kill switch: every contract
-/// below must hold with SECMEM_DELTA_SNAPSHOT=0 too, where save_delta
-/// degrades to full images that restore_delta still accepts. Both
-/// directions pin the switch explicitly, so the suite behaves the same
-/// under a CI leg that exports the kill switch globally.
+/// Parameterized over engine kind x what the source ships: save_delta
+/// images ("Delta") or full save() images only ("FullOnly"). Every
+/// contract below must hold for both, since restore_delta accepts full
+/// images as well as deltas.
 class DeltaSnapshot
     : public ::testing::TestWithParam<std::tuple<EngineKind, bool>> {
  protected:
   EngineKind kind() const { return std::get<0>(GetParam()); }
-  bool delta_enabled() const { return std::get<1>(GetParam()); }
-  std::optional<EnvOverride> pin_;
-  void SetUp() override {
-    pin_.emplace("SECMEM_DELTA_SNAPSHOT", delta_enabled() ? "1" : "0");
+  bool ships_deltas() const { return std::get<1>(GetParam()); }
+  /// The next image the source ships to its replica.
+  std::string ship(SecureMemoryLike& source) const {
+    return ships_deltas() ? delta_of(source) : image_of(source);
   }
 };
 
@@ -128,9 +103,10 @@ TEST_P(DeltaSnapshot, ChainRoundTripsBitIdentically) {
   auto replica = make_engine(kind());
   populate(*source, 7);
 
-  // Round 0: a fresh engine has no delta base, so the first save_delta
-  // ships a full image that seeds the replica and aligns both chains.
-  ASSERT_TRUE(apply_delta(*replica, delta_of(*source)));
+  // Round 0: a fresh engine has no delta base, so even the first
+  // save_delta ships a full image that seeds the replica and aligns
+  // both chains.
+  ASSERT_TRUE(apply_delta(*replica, ship(*source)));
 
   // Incremental rounds: small mutations, delta over, applied in order.
   Xoshiro256 rng(0xBEEF);
@@ -141,7 +117,7 @@ TEST_P(DeltaSnapshot, ChainRoundTripsBitIdentically) {
                               pattern(static_cast<std::uint8_t>(round * 16 + w))),
           Status::kOk);
     }
-    const std::string delta = delta_of(*source);
+    const std::string delta = ship(*source);
     ASSERT_TRUE(apply_delta(*replica, delta)) << "round " << round;
   }
 
@@ -159,21 +135,21 @@ TEST_P(DeltaSnapshot, StaleDeltaReplayRejected) {
   auto source = make_engine(kind());
   auto replica = make_engine(kind());
   populate(*source, 11);
-  ASSERT_TRUE(apply_delta(*replica, delta_of(*source)));
+  ASSERT_TRUE(apply_delta(*replica, ship(*source)));
 
   ASSERT_EQ(source->write_block(5, pattern(0x55)), Status::kOk);
-  const std::string delta = delta_of(*source);
+  const std::string delta = ship(*source);
   ASSERT_TRUE(apply_delta(*replica, delta));
 
-  if (delta_enabled()) {
+  if (ships_deltas()) {
     // The replica's chain moved past the delta's base: replaying it must
     // be refused (base-seal mismatch), leaving the replica untouched.
     const std::string before = image_of(*replica);
     EXPECT_FALSE(apply_delta(*replica, delta));
     EXPECT_EQ(image_of(*replica), before);
   } else {
-    // Kill switch: "deltas" are full images, and full-image restore is
-    // idempotent by design — replay is allowed and harmless.
+    // Full images carry no base, and full-image restore is idempotent
+    // by design — replay is allowed and harmless.
     EXPECT_TRUE(apply_delta(*replica, delta));
   }
   EXPECT_EQ(replica->read_block(5).data, pattern(0x55));
@@ -183,7 +159,7 @@ TEST_P(DeltaSnapshot, CrashRestoreLoopSurvivesTamperedAttempts) {
   auto source = make_engine(kind());
   auto replica = make_engine(kind());
   populate(*source, 13);
-  ASSERT_TRUE(apply_delta(*replica, delta_of(*source)));
+  ASSERT_TRUE(apply_delta(*replica, ship(*source)));
 
   Xoshiro256 rng(0xC4A5);
   for (int round = 0; round < 4; ++round) {
@@ -194,7 +170,7 @@ TEST_P(DeltaSnapshot, CrashRestoreLoopSurvivesTamperedAttempts) {
               pattern(static_cast<std::uint8_t>(round * 8 + w))),
           Status::kOk);
     }
-    const std::string delta = delta_of(*source);
+    const std::string delta = ship(*source);
     // A "crash" mid-transfer: a damaged copy arrives first. The failed
     // apply must leave the replica exactly where it was so the clean
     // retry of the SAME delta still lands on its base.
@@ -204,17 +180,18 @@ TEST_P(DeltaSnapshot, CrashRestoreLoopSurvivesTamperedAttempts) {
         static_cast<std::uint8_t>(damaged[offset]) ^
         static_cast<std::uint8_t>(1 + rng.next_below(255)));
     const bool damaged_ok = apply_delta(*replica, damaged);
-    if (delta_enabled()) {
+    if (ships_deltas()) {
       // Sealed delta images reject EVERY flip before any byte applies.
       EXPECT_FALSE(damaged_ok) << "round " << round << " offset " << offset;
     }
     // Recover with the clean copy. A failed delta left its base intact,
-    // so the retry lands; in full-only mode a data-section flip can be
+    // so the retry lands; a full image's data-section flip can be
     // ACCEPTED at stage (it surfaces on read — the full-image posture,
     // see test_snapshot.cc), so re-apply unconditionally there: full
     // restores are idempotent.
-    if (!damaged_ok || !delta_enabled())
+    if (!damaged_ok || !ships_deltas()) {
       ASSERT_TRUE(apply_delta(*replica, delta)) << "round " << round;
+    }
   }
   EXPECT_EQ(image_of(*source), image_of(*replica));
 }
@@ -223,7 +200,7 @@ TEST_P(DeltaSnapshot, RotationBreaksChainAndRebasesOnFullFallback) {
   auto source = make_engine(kind());
   auto replica = make_engine(kind());
   populate(*source, 17);
-  ASSERT_TRUE(apply_delta(*replica, delta_of(*source)));
+  ASSERT_TRUE(apply_delta(*replica, ship(*source)));
 
   // Rotation re-keys the region and invalidates the seal chain; both
   // sides rotate (a replica under the old master could not decode the
@@ -232,16 +209,16 @@ TEST_P(DeltaSnapshot, RotationBreaksChainAndRebasesOnFullFallback) {
   ASSERT_TRUE(replica->rotate_master_key(0xD0D0'CAFE));
 
   ASSERT_EQ(source->write_block(9, pattern(0x99)), Status::kOk);
-  const std::string fallback = delta_of(*source);
-  // The chain is broken, so this "delta" is a full image re-basing the
-  // replica...
+  const std::string fallback = ship(*source);
+  // The chain is broken, so even save_delta ships a full image that
+  // re-bases the replica...
   ASSERT_TRUE(apply_delta(*replica, fallback));
   EXPECT_EQ(replica->read_block(9).data, pattern(0x99));
 
   // ...and the chain is live again: the next delta is incremental and
   // applies cleanly.
   ASSERT_EQ(source->write_block(10, pattern(0xAA)), Status::kOk);
-  ASSERT_TRUE(apply_delta(*replica, delta_of(*source)));
+  ASSERT_TRUE(apply_delta(*replica, ship(*source)));
   EXPECT_EQ(replica->read_block(10).data, pattern(0xAA));
   EXPECT_EQ(image_of(*source), image_of(*replica));
 }
@@ -270,11 +247,7 @@ INSTANTIATE_TEST_SUITE_P(
 /// reject before a single byte is applied. (Full fallback images don't
 /// have this property — a ciphertext flip there surfaces on read, see
 /// test_snapshot.cc — which is why this drills the delta format only.)
-class DeltaTamper : public ::testing::TestWithParam<EngineKind> {
- protected:
-  // The sealed format under test only exists with the switch on.
-  EnvOverride pin_{"SECMEM_DELTA_SNAPSHOT", "1"};
-};
+class DeltaTamper : public ::testing::TestWithParam<EngineKind> {};
 
 TEST_P(DeltaTamper, EveryByteFlipRejectsBeforeApply) {
   auto source = make_engine(GetParam());
@@ -320,50 +293,107 @@ TEST_P(DeltaTamper, EveryByteFlipRejectsBeforeApply) {
   EXPECT_EQ(image_of(*source), image_of(*replica));
 }
 
-INSTANTIATE_TEST_SUITE_P(AllEngines, DeltaTamper,
-                         ::testing::Values(EngineKind::kPlain,
-                                           EngineKind::kConcurrent,
-                                           EngineKind::kSharded),
-                         [](const auto& info) {
-                           return info.param == EngineKind::kPlain ? "Plain"
-                                  : info.param == EngineKind::kConcurrent
-                                      ? "Concurrent"
-                                      : "Sharded";
-                         });
-
-// ------------------------------------------------------- kill switch
-
-TEST(DeltaKillSwitch, DisabledEngineEmitsFullImagesAndRejectsDeltas) {
-  // An enabled source produces a true incremental delta...
-  EnvOverride pin_on("SECMEM_DELTA_SNAPSHOT", "1");
-  SecureMemory source(small_config());
-  populate(source, 23);
-  const std::string seed_image = image_of(source);
-  ASSERT_EQ(source.write_block(4, pattern(0x44)), Status::kOk);
-  const std::string delta = delta_of(source);
-  ASSERT_EQ(delta.compare(0, 8, "SECMDLT1"), 0);
-
-  EnvOverride pin("SECMEM_DELTA_SNAPSHOT", "0");
-  SecureMemory disabled(small_config());
-  {
-    std::istringstream in(seed_image);
-    ASSERT_TRUE(disabled.restore(in));
-  }
-  // ...which a kill-switched engine refuses even though its state
-  // matches the delta's base...
-  EXPECT_FALSE(apply_delta(disabled, delta));
-  EXPECT_EQ(disabled.read_block(1).data, pattern(1));
-
-  // ...and its own save_delta degrades to a plain full image.
-  const std::string full_only = delta_of(disabled);
-  ASSERT_EQ(full_only.compare(0, 8, "SECMEM01"), 0);
-  EXPECT_EQ(full_only, image_of(disabled));
+std::string engine_name(const ::testing::TestParamInfo<EngineKind>& info) {
+  return info.param == EngineKind::kPlain        ? "Plain"
+         : info.param == EngineKind::kConcurrent ? "Concurrent"
+                                                 : "Sharded";
 }
+
+const auto kAllEngines = ::testing::Values(
+    EngineKind::kPlain, EngineKind::kConcurrent, EngineKind::kSharded);
+
+INSTANTIATE_TEST_SUITE_P(AllEngines, DeltaTamper, kAllEngines, engine_name);
+
+// ------------------------------------------------ format versioning
+
+/// A delta in the previous wire format (cross-position COPY commands,
+/// magic SECMDLT1) must be refused by its magic, before anything is
+/// parsed or applied.
+class DeltaMagic : public ::testing::TestWithParam<EngineKind> {};
+
+TEST_P(DeltaMagic, PreviousFormatRejectedBeforeApply) {
+  auto source = make_engine(GetParam());
+  auto replica = make_engine(GetParam());
+  populate(*source, 23);
+  ASSERT_TRUE(apply_delta(*replica, delta_of(*source)));
+
+  ASSERT_EQ(source->write_block(4, pattern(0x44)), Status::kOk);
+  const std::string delta = delta_of(*source);
+  if (GetParam() != EngineKind::kSharded) {
+    ASSERT_EQ(delta.compare(0, 8, "SECMDLT2"), 0);
+  }
+
+  // Rewrite every engine-level delta magic (the sharded container holds
+  // one per shard slice) to the previous format's.
+  std::string old_format = delta;
+  std::size_t rewritten = 0;
+  for (std::size_t at = old_format.find("SECMDLT2");
+       at != std::string::npos; at = old_format.find("SECMDLT2", at + 8)) {
+    old_format[at + 7] = '1';
+    ++rewritten;
+  }
+  ASSERT_GE(rewritten, 1u);
+
+  const std::string before = image_of(*replica);
+  EXPECT_FALSE(apply_delta(*replica, old_format));
+  EXPECT_EQ(image_of(*replica), before);
+  // The region is untouched, so the current-format delta still lands.
+  ASSERT_TRUE(apply_delta(*replica, delta));
+  EXPECT_EQ(replica->read_block(4).data, pattern(0x44));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllEngines, DeltaMagic, kAllEngines, engine_name);
+
+// ------------------------------------------------ buffer conveniences
+
+std::string string_of(const std::vector<std::byte>& bytes) {
+  return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
+}
+
+/// The std::vector / std::span overloads serialize straight into and
+/// parse straight out of caller memory; their bytes must be exactly the
+/// stream overloads'.
+class DeltaBuffers : public ::testing::TestWithParam<EngineKind> {};
+
+TEST_P(DeltaBuffers, VectorFormMatchesStreamForm) {
+  // Two engines driven through identical operations hold identical
+  // state: one saves through streams, the other through vectors.
+  auto streamed = make_engine(GetParam());
+  auto buffered = make_engine(GetParam());
+  auto replica = make_engine(GetParam());
+  populate(*streamed, 53);
+  populate(*buffered, 53);
+
+  // No base yet: save_delta falls back to a full image.
+  std::vector<std::byte> image{std::byte{0x5A}};  // stale bytes dropped
+  ASSERT_EQ(buffered->save_delta(image), Status::kOk);
+  EXPECT_EQ(string_of(image), delta_of(*streamed));
+  ASSERT_TRUE(replica->restore_delta(std::span<const std::byte>(image)));
+
+  // Incremental deltas.
+  for (std::uint8_t round = 0; round < 2; ++round) {
+    for (SecureMemoryLike* engine : {streamed.get(), buffered.get()})
+      ASSERT_EQ(engine->write_block(17 + round, pattern(0x17 + round)),
+                Status::kOk);
+    ASSERT_EQ(buffered->save_delta(image), Status::kOk);
+    EXPECT_EQ(string_of(image), delta_of(*streamed)) << int{round};
+    ASSERT_TRUE(replica->restore_delta(std::span<const std::byte>(image)));
+  }
+
+  // Full images.
+  ASSERT_EQ(buffered->save(image), Status::kOk);
+  EXPECT_EQ(string_of(image), image_of(*streamed));
+  ASSERT_TRUE(replica->restore(std::span<const std::byte>(image)));
+  EXPECT_EQ(image_of(*replica), image_of(*streamed));
+  EXPECT_EQ(replica->read_block(18).data, pattern(0x18));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllEngines, DeltaBuffers, kAllEngines,
+                         engine_name);
 
 // ------------------------------------------------- delta observability
 
 TEST(DeltaDirtyPlane, TracksWritesAndShrinksImages) {
-  EnvOverride pin("SECMEM_DELTA_SNAPSHOT", "1");
   SecureMemoryConfig config;
   config.size_bytes = 256 * 1024;
   SecureMemory engine(config);
@@ -393,7 +423,6 @@ TEST(DeltaDirtyPlane, TracksWritesAndShrinksImages) {
 }
 
 TEST(DeltaSharded, AggregatesDirtyGranulesAndTimesRestores) {
-  EnvOverride pin("SECMEM_DELTA_SNAPSHOT", "1");
   ShardedSecureMemory source(small_config(), 4);
   ShardedSecureMemory replica(small_config(), 4);
   populate(source, 31);
@@ -442,7 +471,6 @@ class TruncatingSink : public std::streambuf {
 };
 
 TEST(DeltaSaveIoFailure, FailedDeltaSaveDoesNotAdvanceChain) {
-  EnvOverride pin("SECMEM_DELTA_SNAPSHOT", "1");
   SecureMemory source(small_config());
   SecureMemory replica(small_config());
   populate(source, 41);
@@ -469,7 +497,6 @@ TEST(DeltaSaveIoFailure, FailedDeltaSaveDoesNotAdvanceChain) {
 }
 
 TEST(DeltaSaveIoFailure, FailedFullSaveKeepsPreviousAlignmentPoint) {
-  EnvOverride pin("SECMEM_DELTA_SNAPSHOT", "1");
   SecureMemory source(small_config());
   SecureMemory replica(small_config());
   populate(source, 43);
@@ -488,7 +515,6 @@ TEST(DeltaSaveIoFailure, FailedFullSaveKeepsPreviousAlignmentPoint) {
 }
 
 TEST(DeltaSaveIoFailure, ShardedContainerFailureBreaksChainsAndRecovers) {
-  EnvOverride pin("SECMEM_DELTA_SNAPSHOT", "1");
   ShardedSecureMemory source(small_config(), 4);
   ShardedSecureMemory replica(small_config(), 4);
   populate(source, 47);
@@ -507,45 +533,6 @@ TEST(DeltaSaveIoFailure, ShardedContainerFailureBreaksChainsAndRecovers) {
   ASSERT_TRUE(apply_delta(replica, delta_of(source)));
   EXPECT_EQ(image_of(source), image_of(replica));
   EXPECT_EQ(replica.read_block(5).data, pattern(0x51));
-}
-
-// --------------------------------------------- cross-instance diffing
-
-TEST(DeltaEncode, DiffsTwoImagesIntoAnApplicableDelta) {
-  EnvOverride pin("SECMEM_DELTA_SNAPSHOT", "1");
-  SecureMemory engine(small_config());
-  populate(engine, 37);
-  const std::string img1 = image_of(engine);
-  ASSERT_EQ(engine.write_block(6, pattern(0x66)), Status::kOk);
-  ASSERT_EQ(engine.write_block(400, pattern(0x46)), Status::kOk);
-  const std::string img2 = image_of(engine);
-
-  const auto bytes_of = [](const std::string& s) {
-    return std::span<const std::uint8_t>(
-        reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
-  };
-  std::stringstream delta;
-  ASSERT_EQ(engine.encode_delta(bytes_of(img1), bytes_of(img2), delta),
-            Status::kOk);
-  EXPECT_LT(delta.str().size(), img2.size() / 2);
-
-  // A replica sitting at img1 applies the diff and lands at img2 —
-  // bit-identically.
-  SecureMemory replica(small_config());
-  {
-    std::istringstream in(img1);
-    ASSERT_TRUE(replica.restore(in));
-  }
-  ASSERT_TRUE(apply_delta(replica, delta.str()));
-  EXPECT_EQ(image_of(replica), img2);
-  EXPECT_EQ(replica.read_block(6).data, pattern(0x66));
-
-  // Unusable inputs are refused without output.
-  std::stringstream none;
-  EXPECT_EQ(engine.encode_delta(bytes_of(img1).subspan(1), bytes_of(img2),
-                                none),
-            Status::kIntegrityViolation);
-  EXPECT_TRUE(none.str().empty());
 }
 
 }  // namespace

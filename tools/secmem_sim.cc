@@ -61,8 +61,7 @@ void usage(const char* argv0) {
       "  --delta-save FILE   engine mode: after the run, seal a full base\n"
       "                      image, re-dirty the hot set, and write the\n"
       "                      incremental delta image to FILE (implies\n"
-      "                      --engine; SECMEM_DELTA_SNAPSHOT=0 falls back\n"
-      "                      to a full image)\n",
+      "                      --engine)\n",
       argv0);
 }
 
