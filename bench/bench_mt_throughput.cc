@@ -21,7 +21,11 @@
 //
 //   bench_mt_throughput [--mib N] [--shards N] [--reads-per-thread N]
 //                       [--hot-mib N] [--hot-blocks N] [--hot-reads N]
-//                       [--out FILE]
+//                       [--commit ID] [--out FILE]
+//
+// The JSON names its provenance: the --commit string (e.g. the output of
+// `git describe --always --dirty`), the host's core count, and the
+// SECMEM_TREE_CACHE setting the engines were constructed under.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -150,15 +154,38 @@ double timed_hot_reads(SecureMemory& engine, std::uint64_t hot_blocks,
   return elapsed.count();
 }
 
+/// `text` as a JSON string body: quotes and backslashes escaped, control
+/// characters dropped (both fields come from the command line or env).
+std::string json_escape(const std::string& text) {
+  std::string out;
+  for (const char c : text) {
+    if (c == '"' || c == '\\') out += '\\';
+    if (static_cast<unsigned char>(c) >= 0x20) out += c;
+  }
+  return out;
+}
+
+struct RunInfo {
+  std::string commit;
+  std::string tree_cache;  ///< SECMEM_TREE_CACHE, or "default" when unset
+  unsigned nproc;
+  std::uint64_t mib;
+  unsigned shards;
+  std::uint64_t reads_per_thread;
+};
+
 void emit_json(std::FILE* out, const std::vector<Sample>& samples,
-               std::uint64_t mib, unsigned shards,
-               std::uint64_t reads_per_thread) {
+               const RunInfo& run) {
   std::fprintf(out,
                "{\n  \"bench\": \"mt_throughput\",\n"
+               "  \"commit\": \"%s\",\n  \"nproc\": %u,\n"
+               "  \"tree_cache\": \"%s\",\n"
                "  \"region_mib\": %llu,\n  \"shards\": %u,\n"
                "  \"reads_per_thread\": %llu,\n  \"results\": [\n",
-               static_cast<unsigned long long>(mib), shards,
-               static_cast<unsigned long long>(reads_per_thread));
+               json_escape(run.commit).c_str(), run.nproc,
+               json_escape(run.tree_cache).c_str(),
+               static_cast<unsigned long long>(run.mib), run.shards,
+               static_cast<unsigned long long>(run.reads_per_thread));
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const Sample& s = samples[i];
     std::fprintf(out,
@@ -186,6 +213,7 @@ int main(int argc, char** argv) {
   std::uint64_t hot_blocks = 1024;
   std::uint64_t hot_reads = 200000;
   std::string out_path = "mt_throughput.bench.json";
+  std::string commit = "unknown";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&]() -> const char* {
@@ -207,13 +235,15 @@ int main(int argc, char** argv) {
       hot_blocks = std::strtoull(value(), nullptr, 10);
     } else if (arg == "--hot-reads") {
       hot_reads = std::strtoull(value(), nullptr, 10);
+    } else if (arg == "--commit") {
+      commit = value();
     } else if (arg == "--out") {
       out_path = value();
     } else {
       std::fprintf(stderr,
                    "usage: %s [--mib N] [--shards N] "
                    "[--reads-per-thread N] [--hot-mib N] [--hot-blocks N] "
-                   "[--hot-reads N] [--out FILE]\n",
+                   "[--hot-reads N] [--commit ID] [--out FILE]\n",
                    argv[0]);
       return 2;
     }
@@ -349,11 +379,15 @@ int main(int argc, char** argv) {
         .sample(s.ops_per_sec);
   if (!metrics.write()) return 1;
 
-  emit_json(stdout, samples, mib, shards, reads_per_thread);
+  const char* cache_env = std::getenv("SECMEM_TREE_CACHE");
+  const RunInfo run{commit, cache_env ? cache_env : "default",
+                    std::thread::hardware_concurrency(), mib, shards,
+                    reads_per_thread};
+  emit_json(stdout, samples, run);
   if (!out_path.empty()) {
     std::FILE* f = std::fopen(out_path.c_str(), "w");
     if (f) {
-      emit_json(f, samples, mib, shards, reads_per_thread);
+      emit_json(f, samples, run);
       std::fclose(f);
       std::fprintf(stderr, "wrote %s\n", out_path.c_str());
     }

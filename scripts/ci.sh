@@ -22,7 +22,10 @@ echo "=== tier 1: secmem-lint (repository invariants) ==="
 scripts/lint.sh
 
 echo "=== tier 1: default preset build + ctest ==="
-cmake --preset default
+# Warnings are errors on this leg (and only here: the sanitizer and clang
+# legs keep their own flags), so a new -Wall -Wextra warning fails tier 1
+# instead of scrolling past in the build log.
+cmake --preset default -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build --preset default -j "$(nproc)"
 ctest --preset default -j "$(nproc)"
 

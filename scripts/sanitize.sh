@@ -5,8 +5,9 @@
 #   scripts/sanitize.sh tsan [ctest args...]   # ThreadSanitizer
 #
 # With no extra ctest args, tsan runs the concurrency suites (the sharded
-# engine stress tests and the ConcurrentSecureMemory tests) and asan runs
-# everything. Extra args are passed to ctest verbatim, e.g.:
+# engine stress tests, the ConcurrentSecureMemory tests, the read-path
+# differential tests and the tree cache's concurrent-probe test) and asan
+# runs everything. Extra args are passed to ctest verbatim, e.g.:
 #   scripts/sanitize.sh tsan -R ShardedSecureMemoryStress
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -23,7 +24,7 @@ case "$mode" in
   tsan)
     sanitizers="thread"
     dir=build-tsan
-    default_args=(-R 'Sharded|Concurrent|ReadPaths')
+    default_args=(-R 'Sharded|Concurrent|ReadPaths|TreeCacheTwin.ConcurrentProbesMatchEagerVerify')
     ;;
   *)
     echo "usage: $0 [asan|tsan] [ctest args...]" >&2

@@ -348,16 +348,28 @@ void SecureMemory::account_read(const ReadResult& result,
     case ReadStatus::kRegionPoisoned:
       metrics_.add(MetricId::kIntegrityViolations);
       break;
+    case ReadStatus::kSnapshotIoError:  // a snapshot outcome, never a read's
+      break;
   }
   trace(TraceEvent::Kind::kRead, result.status, block);
 }
 
 namespace {
-/// Every Nth non-resident shared read declines to the exclusive path so
-/// verify() can install the line into the verified frontier. 8 keeps the
-/// steady state overwhelmingly shared while still warming a shifting
-/// working set within a few touches per line.
-constexpr std::uint64_t kSharedProbePulse = 8;
+/// Promotion pulse: one in kSharedProbePulse shared reads of a cold
+/// counter line declines to the exclusive path, so verify() can install
+/// the line into the verified frontier. The decimator is per thread, so
+/// deciding writes no state other readers touch: a shared tick would put
+/// every reader's cold reads on one contended cache line. 64 keeps
+/// declines near 1.5% of cold reads — a uniform stream, whose lines
+/// are evicted before reuse, rarely pays the exclusive lock — while a
+/// read-only hot set of H lines that fits the cache is still fully
+/// resident after at most 64 * H cold reads on one thread.
+constexpr std::uint32_t kSharedProbePulse = 64;
+thread_local std::uint32_t shared_cold_ticks = 0;
+
+bool pulse_declines() noexcept {
+  return ++shared_cold_ticks % kSharedProbePulse == 0;
+}
 
 /// Blocks per pass of the read core: one pad_batch call and one
 /// stack-resident counter-line table per chunk, no heap allocation.
@@ -470,11 +482,7 @@ template <typename Sink>
         lines[l - 1] = {line, ok, resident};
       }
       const LineState& state = lines[l - 1];
-      const bool declined =
-          !state.resident &&
-          shared_cold_reads_.fetch_add(1, std::memory_order_relaxed) %
-                  kSharedProbePulse ==
-              kSharedProbePulse - 1;
+      const bool declined = !state.resident && pulse_declines();
       if (declined) {
         // Promotion pulse: bounce this read to the exclusive path, whose
         // verify() may install the line. Nothing is accounted — the
@@ -710,6 +718,7 @@ ScrubStatus SecureMemory::scrub_block(std::uint64_t block, bool deep) {
       break;
     case ReadStatus::kIntegrityViolation:
     case ReadStatus::kRegionPoisoned:
+    case ReadStatus::kSnapshotIoError:  // never a read's; fail closed anyway
       scrubbed = ScrubStatus::kUncorrectable;
       break;
   }

@@ -129,9 +129,10 @@ class SecureMemory : public SecureMemoryLike {
   /// The same read core as read_block()/read_blocks()/read_bytes(), so
   /// verdicts and plaintext are identical, but const: counter lines
   /// authenticate through the tree cache's read-side probe() (no fills),
-  /// and the only engine state touched is relaxed-atomic (metrics, LRU
-  /// touch, promotion pulse). Concurrency facades call these under a
-  /// SHARED lock, so any number of readers proceed in parallel.
+  /// and the only engine state touched is relaxed-atomic (metrics and the
+  /// tree cache's referenced flags; the promotion pulse is per thread).
+  /// Concurrency facades call these under a SHARED lock, so any number of
+  /// readers proceed in parallel.
   ///
   /// A read *declines* when its counter line was not resident and the
   /// promotion pulse elected to bounce it to the exclusive path, where
@@ -577,10 +578,6 @@ class SecureMemory : public SecureMemoryLike {
   /// Mutable: relaxed-atomic observability is written from the const
   /// shared read path (the cell's own contract — see common/metrics.h).
   mutable MetricsCell metrics_;
-  /// Promotion pulse for shared reads: a relaxed counter of non-resident
-  /// shared reads (one tick per read); every kSharedProbePulse-th one
-  /// declines so the exclusive retry warms the verified frontier.
-  mutable std::atomic<std::uint64_t> shared_cold_reads_{0};
   TraceRing* trace_ = nullptr;
   std::uint16_t trace_shard_ = 0;
   /// Batch-path scratch, reused across calls so a group drain performs

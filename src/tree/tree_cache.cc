@@ -1,5 +1,6 @@
 #include "tree/tree_cache.h"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -16,13 +17,13 @@ VerifiedTreeCache::VerifiedTreeCache(BonsaiTree& tree,
       static_cast<std::size_t>(config.capacity_kb) * 1024 /
       BonsaiTree::kLineBytes;
   if (total == 0) return;  // disabled: eager delegation
-  ways_ = config.ways ? config.ways : 1;
+  ways_ = std::clamp(config.ways, 1u, kMaxWays);
   if (ways_ > total) ways_ = static_cast<unsigned>(total);
   // Power-of-two sets so set_of() is a mask; round down, never below 1.
-  sets_ = 1;
-  while (sets_ * 2 * ways_ <= total) sets_ *= 2;
-  entry_count_ = sets_ * ways_;
-  entries_ = std::make_unique<Entry[]>(entry_count_);
+  set_count_ = 1;
+  while (set_count_ * 2 * ways_ <= total) set_count_ *= 2;
+  sets_ = std::make_unique<Set[]>(set_count_);
+  invalidate_all();
   path_.reserve(tree_.geometry().total_levels());
 }
 
@@ -30,79 +31,79 @@ std::size_t VerifiedTreeCache::set_of(std::uint64_t key) const noexcept {
   // Fibonacci multiplicative hash; (level, node) keys are near-sequential,
   // this spreads them across sets.
   return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >> 32) &
-         (sets_ - 1);
+         (set_count_ - 1);
 }
 
-const VerifiedTreeCache::Entry* VerifiedTreeCache::find(
+VerifiedTreeCache::ConstSlot VerifiedTreeCache::find(
     unsigned level, std::uint64_t node) const noexcept {
   const std::uint64_t key = key_of(level, node);
-  const Entry* row = entries_.get() + set_of(key) * ways_;
-  for (unsigned w = 0; w < ways_; ++w)
-    if (row[w].valid && row[w].key == key) return &row[w];
-  return nullptr;
+  const Set& set = sets_[set_of(key)];
+  // Fixed bound: one pass over the set's tag line (unused ways hold kNoTag).
+  for (unsigned w = 0; w < kMaxWays; ++w)
+    if (set.tag[w] == key) return {&set, w};
+  return {};
 }
 
-VerifiedTreeCache::Entry* VerifiedTreeCache::find(
-    unsigned level, std::uint64_t node) noexcept {
-  return const_cast<Entry*>(std::as_const(*this).find(level, node));
+VerifiedTreeCache::Slot VerifiedTreeCache::find(unsigned level,
+                                                std::uint64_t node) noexcept {
+  const ConstSlot s = std::as_const(*this).find(level, node);
+  return {const_cast<Set*>(s.set), s.way};
 }
 
 std::size_t VerifiedTreeCache::occupied() const noexcept {
   std::size_t n = 0;
-  for (const Entry& e : entries()) n += e.valid;
+  for (const Set& set : sets())
+    for (const std::uint64_t tag : set.tag) n += tag != kNoTag;
   return n;
 }
 
 void VerifiedTreeCache::install(unsigned level, std::uint64_t node,
                                 const std::uint8_t* content, bool dirty) {
   const std::uint64_t key = key_of(level, node);
-  Entry* row = entries_.get() + set_of(key) * ways_;
-  // One relaxed load per way: the victim's stamp is carried in a local
-  // instead of re-read per comparison (fills sit on the uniform-read miss
-  // path, where the extra atomic traffic was measurable).
-  Entry* victim = &row[0];
-  std::uint64_t victim_lru = victim->lru.load(std::memory_order_relaxed);
-  for (unsigned w = 0; w < ways_; ++w) {
-    if (!row[w].valid) {
-      victim = &row[w];
-      break;
+  Set& set = sets_[set_of(key)];
+  unsigned victim = 0;
+  while (victim < ways_ && set.tag[victim] != kNoTag) ++victim;
+  if (victim == ways_) {
+    // Full set: CLOCK. Referenced ways get a second chance (flag cleared,
+    // hand moves on); the first unreferenced way is the victim. Ends
+    // within one revolution plus one step.
+    for (;;) {
+      victim = set.hand;
+      set.hand = static_cast<std::uint8_t>((victim + 1) % ways_);
+      if (set.referenced[victim].load(std::memory_order_relaxed) == 0) break;
+      set.referenced[victim].store(0, std::memory_order_relaxed);
     }
-    const std::uint64_t w_lru = row[w].lru.load(std::memory_order_relaxed);
-    if (w_lru < victim_lru) {
-      victim = &row[w];
-      victim_lru = w_lru;
+    if (set.dirty[victim]) {
+      write_back({&set, victim});
+      count(MetricId::kTreeCacheWritebacks);
     }
   }
-  if (victim->valid && victim->dirty) {
-    write_back(*victim);
-    count(MetricId::kTreeCacheWritebacks);
-  }
-  victim->key = key;
-  victim->valid = true;
-  victim->dirty = dirty;
-  std::memcpy(victim->content.data(), content, BonsaiTree::kLineBytes);
-  touch(*victim);
+  // The victim is unreferenced (empty ways are kept clear), so the new
+  // line starts unreferenced: it must be hit before the hand comes round.
+  set.tag[victim] = key;
+  set.dirty[victim] = dirty;
+  std::memcpy(set.content[victim].data(), content, BonsaiTree::kLineBytes);
   count(MetricId::kTreeCacheFills);
 }
 
-void VerifiedTreeCache::write_back(const Entry& e) {
-  const unsigned level = level_of(e.key);
-  const std::uint64_t node = node_of(e.key);
+void VerifiedTreeCache::write_back(Slot s) {
+  const std::uint64_t key = s.set->tag[s.way];
+  const unsigned level = level_of(key);
+  const std::uint64_t node = node_of(key);
   if (level > 0)
-    std::memcpy(tree_.node_span(level, node).data(), e.content.data(),
+    std::memcpy(tree_.node_span(level, node).data(), s.content(),
                 BonsaiTree::kLineBytes);
   // Level 0 (counter lines) is the engine's storage and never goes stale
   // here — `update` requires content already serialized — so only the tag
   // needs propagating.
   const std::uint64_t tag = tree_.mac_of(
-      level, node, BonsaiTree::LineView(e.content.data(),
-                                        BonsaiTree::kLineBytes));
+      level, node, BonsaiTree::LineView(s.content(), BonsaiTree::kLineBytes));
   tree_.walk_from(level, node, tag,
                   [this](unsigned lvl, std::uint64_t n, unsigned slot,
                          std::uint64_t t) {
-                    if (Entry* anc = find(lvl, n)) {
-                      store_le64(anc->content.data() + 8 * slot, t);
-                      anc->dirty = true;
+                    if (const Slot anc = find(lvl, n)) {
+                      store_le64(anc.content() + 8 * slot, t);
+                      anc.set->dirty[anc.way] = true;
                       return BonsaiTree::StepAction::kStopOk;
                     }
                     store_le64(tree_.node_span(lvl, n).data() + 8 * slot, t);
@@ -114,15 +115,14 @@ bool VerifiedTreeCache::verify(std::uint64_t line,
                                BonsaiTree::LineView content) {
   if (!enabled()) return tree_.verify_leaf(line, content);
 
-  if (Entry* leaf = find(0, line)) {
+  if (const Slot leaf = find(0, line)) {
     // The resident copy was authenticated on fill and tracks every
     // update, so a byte compare IS the verification — zero MACs. It is
     // still an accept/reject decision over attacker-influenced bytes, so
     // it gets the constant-time compare like every other verification.
-    touch(*leaf);
+    touch(leaf);
     count(MetricId::kTreeCacheHits);
-    return ct_equal(leaf->content.data(), content.data(),
-                    BonsaiTree::kLineBytes);
+    return ct_equal(leaf.content(), content.data(), BonsaiTree::kLineBytes);
   }
 
   path_.clear();
@@ -132,11 +132,10 @@ bool VerifiedTreeCache::verify(std::uint64_t line,
       0, line, tree_.mac_of(0, line, content),
       [&](unsigned lvl, std::uint64_t node, unsigned slot, std::uint64_t tag) {
         if (lvl < top) {
-          if (Entry* anc = find(lvl, node)) {
-            touch(*anc);
+          if (const Slot anc = find(lvl, node)) {
+            touch(anc);
             truncated = true;
-            return ct_equal_u64(load_le64(anc->content.data() + 8 * slot),
-                                tag)
+            return ct_equal_u64(load_le64(anc.content() + 8 * slot), tag)
                        ? BonsaiTree::StepAction::kStopOk
                        : BonsaiTree::StepAction::kStopFail;
           }
@@ -172,14 +171,13 @@ bool VerifiedTreeCache::probe(std::uint64_t line,
     return tree_.verify_leaf(line, content);
   }
 
-  if (const Entry* leaf = find(0, line)) {
-    // Same verdict as verify()'s resident hit; the LRU touch is the sole
-    // mutation (relaxed atomic, see Entry::lru).
-    touch(*leaf);
+  if (const ConstSlot leaf = find(0, line)) {
+    // Same verdict as verify()'s resident hit; marking the way referenced
+    // is the sole mutation, and only when its flag is clear (see touch).
+    touch(leaf);
     count(MetricId::kTreeCacheProbeHits);
     resident = true;
-    return ct_equal(leaf->content.data(), content.data(),
-                    BonsaiTree::kLineBytes);
+    return ct_equal(leaf.content(), content.data(), BonsaiTree::kLineBytes);
   }
 
   // Cold line: authenticate via the walk, truncating at any cached
@@ -192,10 +190,9 @@ bool VerifiedTreeCache::probe(std::uint64_t line,
       0, line, tree_.mac_of(0, line, content),
       [&](unsigned lvl, std::uint64_t node, unsigned slot, std::uint64_t tag) {
         if (lvl < top) {
-          if (const Entry* anc = find(lvl, node)) {
-            touch(*anc);
-            return ct_equal_u64(load_le64(anc->content.data() + 8 * slot),
-                                tag)
+          if (const ConstSlot anc = find(lvl, node)) {
+            touch(anc);
+            return ct_equal_u64(load_le64(anc.content() + 8 * slot), tag)
                        ? BonsaiTree::StepAction::kStopOk
                        : BonsaiTree::StepAction::kStopFail;
           }
@@ -219,9 +216,9 @@ void VerifiedTreeCache::update(std::uint64_t line,
 
   // Track the new leaf bytes (never dirty: engines serialize into counter
   // storage before calling, so backing already matches).
-  if (Entry* leaf = find(0, line)) {
-    std::memcpy(leaf->content.data(), content.data(), BonsaiTree::kLineBytes);
-    touch(*leaf);
+  if (const Slot leaf = find(0, line)) {
+    std::memcpy(leaf.content(), content.data(), BonsaiTree::kLineBytes);
+    touch(leaf);
   } else {
     install(0, line, content.data(), /*dirty=*/false);
   }
@@ -235,10 +232,10 @@ void VerifiedTreeCache::update(std::uint64_t line,
     count(MetricId::kTreeCacheHits);
     return;
   }
-  if (Entry* anc = find(1, parent)) {
-    store_le64(anc->content.data() + 8 * slot, tag);
-    anc->dirty = true;
-    touch(*anc);
+  if (const Slot anc = find(1, parent)) {
+    store_le64(anc.content() + 8 * slot, tag);
+    anc.set->dirty[anc.way] = true;
+    touch(anc);
     count(MetricId::kTreeCacheHits);
     return;
   }
@@ -261,11 +258,13 @@ void VerifiedTreeCache::flush() {
   // ancestor at L+1, which a later pass then picks up.
   const unsigned top = tree_.top_level();
   for (unsigned lvl = 0; lvl < top; ++lvl) {
-    for (Entry& e : entries()) {
-      if (e.valid && e.dirty && level_of(e.key) == lvl) {
-        write_back(e);
-        e.dirty = false;
-        count(MetricId::kTreeCacheWritebacks);
+    for (Set& set : sets()) {
+      for (unsigned w = 0; w < ways_; ++w) {
+        if (set.dirty[w] && level_of(set.tag[w]) == lvl) {
+          write_back({&set, w});
+          set.dirty[w] = false;
+          count(MetricId::kTreeCacheWritebacks);
+        }
       }
     }
   }
@@ -273,9 +272,12 @@ void VerifiedTreeCache::flush() {
 }
 
 void VerifiedTreeCache::invalidate_all() noexcept {
-  for (Entry& e : entries()) {
-    e.valid = false;
-    e.dirty = false;
+  for (Set& set : sets()) {
+    set.tag.fill(kNoTag);
+    for (std::atomic<std::uint8_t>& ref : set.referenced)
+      ref.store(0, std::memory_order_relaxed);
+    set.dirty.fill(false);
+    set.hand = 0;
   }
 }
 

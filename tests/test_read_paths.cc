@@ -323,7 +323,10 @@ INSTANTIATE_TEST_SUITE_P(
 /// The promotion pulse ticks once per shared read of a cold counter
 /// line, whether or not the block's data verifies cleanly: a batch of
 /// faulted blocks declines to the exclusive lock exactly as often as the
-/// same batch of clean ones.
+/// same batch of clean ones. The pulse is a per-thread 1-in-64 tick, so
+/// the batch is 128 cold reads (16 blocks, 8 passes): any 128 consecutive
+/// ticks hold exactly two declines, whatever phase earlier tests left.
+constexpr std::size_t kPulsePasses = 8;
 std::uint64_t shared_batch_declines(bool faulted) {
   SecureMemoryConfig config;
   config.size_bytes = kRegionBytes;
@@ -337,18 +340,21 @@ std::uint64_t shared_batch_declines(bool faulted) {
   }
   (void)memory.untrusted().tree();  // flush: line 0 is cold again
 
-  std::vector<ReadResult> results(blocks.size());
+  std::vector<std::uint64_t> batch;
+  for (std::size_t pass = 0; pass < kPulsePasses; ++pass)
+    batch.insert(batch.end(), blocks.begin(), blocks.end());
+  std::vector<ReadResult> results(batch.size());
   std::vector<std::uint32_t> declined;
-  memory.read_blocks_shared(blocks, results, declined);
+  memory.read_blocks_shared(batch, results, declined);
   std::size_t next_declined = 0;
-  for (std::uint32_t i = 0; i < blocks.size(); ++i) {
+  for (std::uint32_t i = 0; i < batch.size(); ++i) {
     if (next_declined < declined.size() && declined[next_declined] == i) {
       ++next_declined;
       continue;
     }
     EXPECT_EQ(results[i].status, faulted ? ReadStatus::kCorrectedData
                                          : ReadStatus::kOk);
-    EXPECT_EQ(results[i].data, plaintext_of(blocks[i]));
+    EXPECT_EQ(results[i].data, plaintext_of(batch[i]));
   }
   StatRegistry registry;
   memory.publish_metrics(registry);
@@ -364,7 +370,7 @@ TEST(ReadPathsPulse, FaultedColdBatchDeclinesAsOftenAsClean) {
   EXPECT_EQ(faulted, clean);
   const char* cache_env = std::getenv("SECMEM_TREE_CACHE");
   if (cache_env == nullptr || std::strcmp(cache_env, "0") != 0) {
-    EXPECT_EQ(clean, 2u);  // 16 cold reads, every 8th declines
+    EXPECT_EQ(clean, 2u);  // 128 cold reads, one in 64 declines
   }
 }
 

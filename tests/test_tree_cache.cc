@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
@@ -21,6 +23,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_annotations.h"
 #include "engine/secure_memory.h"
 #include "engine/sharded_memory.h"
 #include "tree/bonsai_tree.h"
@@ -200,6 +203,123 @@ TEST_F(TreeCacheTwin, DisabledCacheDelegatesEagerly) {
   off.flush();  // no-op, must not crash
 }
 
+TEST_F(TreeCacheTwin, ConcurrentProbesMatchEagerVerify) {
+  // Shared-lock readers probe a resident hot set, clean cold lines, cold
+  // lines under a corrupted level-1 node, and stale copies of both, all at
+  // once. Every verdict must match eager verify_leaf, hot lines must
+  // answer from residency, and probing must install nothing.
+  Xoshiro256 rng(0x9b0e);
+  for (std::uint64_t i = 0; i < kLines; ++i) {
+    set_line(i, rng);
+    update_both(i);
+  }
+  cache_.flush();
+  constexpr std::uint64_t kHot = 64;  // lines 0..63: level-1 nodes 0..7
+  for (std::uint64_t i = 0; i < kHot; ++i)
+    ASSERT_TRUE(cache_.verify(i, line(i)));
+  // Lines 5000..5007 share level-1 node 625, which no hot line's walk
+  // touched: corrupt it in both trees, so their walks fail at level 1.
+  constexpr std::uint64_t kBadParent = 625;
+  ASSERT_FALSE(cache_.contains(1, kBadParent));
+  eager_tree_.corrupt_node(1, kBadParent, 3);
+  cached_tree_.corrupt_node(1, kBadParent, 3);
+  ASSERT_FALSE(eager_tree_.verify_leaf(5000, line(5000)));
+  const std::size_t occupied = cache_.occupied();
+  const std::uint64_t probe_hits_before =
+      metrics_.value(MetricId::kTreeCacheProbeHits);
+
+  constexpr unsigned kThreads = 4;
+  constexpr int kProbesPerThread = 3000;
+  SharedMutex mu;
+  std::atomic<int> mismatches{0};
+  std::atomic<int> cold_hot_lines{0};
+  std::vector<std::thread> readers;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    readers.emplace_back([&, t] {
+      Xoshiro256 pick(0x5eed + t);
+      std::array<std::uint8_t, BonsaiTree::kLineBytes> stale;
+      for (int n = 0; n < kProbesPerThread; ++n) {
+        const unsigned kind = static_cast<unsigned>(pick.next_below(4));
+        const std::uint64_t i = kind == 0   ? pick.next_below(kHot)
+                                : kind == 1 ? 5000 + pick.next_below(8)
+                                            : kHot + pick.next_below(
+                                                         kLines - kHot);
+        BonsaiTree::LineView content = line(i);
+        if (pick.chance(0.25)) {  // a stale or tampered copy
+          std::memcpy(stale.data(), content.data(), stale.size());
+          stale[pick.next_below(stale.size())] ^= 0x10;
+          content = BonsaiTree::LineView(stale.data(), stale.size());
+        }
+        const bool want = eager_tree_.verify_leaf(i, content);
+        bool resident = false;
+        bool got;
+        {
+          const ReaderMutexLock lock(mu);
+          got = cache_.probe(i, content, resident);
+        }
+        if (got != want) ++mismatches;
+        if (i < kHot && !resident) ++cold_hot_lines;
+      }
+    });
+  }
+  for (std::thread& r : readers) r.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(cold_hot_lines.load(), 0);
+  EXPECT_EQ(cache_.occupied(), occupied);
+  EXPECT_GT(metrics_.value(MetricId::kTreeCacheProbeHits), probe_hits_before);
+}
+
+TEST(TreeCacheClock, ReferencedWaySurvivesAndUnreferencedIsEvicted) {
+  // 1024 counter lines under 8 KB of on-chip roots: level 1 is the root,
+  // so a verify() installs exactly its counter line and nothing else.
+  const BonsaiGeometry geometry(1024, 8 * 1024);
+  ASSERT_EQ(geometry.total_levels(), 2u);
+  const CwMacKey key{0x0123'4567'89ab'cdefULL,
+                     Aes128::Key{0x11, 0x22, 0x33, 0x44, 0x55, 0x66}};
+  BonsaiTree tree(geometry, key);
+  std::vector<std::uint8_t> leaves(1024 * BonsaiTree::kLineBytes);
+  Xoshiro256 rng(0xc10c);
+  for (std::uint8_t& b : leaves) b = static_cast<std::uint8_t>(rng.next());
+  auto view = [&](std::uint64_t i) {
+    return BonsaiTree::LineView(leaves.data() + i * BonsaiTree::kLineBytes,
+                                BonsaiTree::kLineBytes);
+  };
+  for (std::uint64_t i = 0; i < 1024; ++i) tree.update_leaf(i, view(i));
+
+  // 1 KB, 8 ways: 16 entries in 2 sets. Ten lines of one set, in order.
+  VerifiedTreeCache cache(tree, TreeCacheConfig{1, 8});
+  std::vector<std::uint64_t> l;
+  for (std::uint64_t i = 0; l.size() < 10; ++i)
+    if (cache.set_index(0, i) == cache.set_index(0, 0)) l.push_back(i);
+
+  // Fill the set: ways 0..7 hold l[0..7], all unreferenced, hand at way 0.
+  for (int i = 0; i < 8; ++i) ASSERT_TRUE(cache.verify(l[i], view(l[i])));
+  ASSERT_TRUE(cache.verify(l[0], view(l[0])));  // hit: l[0] referenced
+
+  // The hand finds l[0] referenced, clears it and moves on; l[1] is the
+  // first unreferenced way.
+  ASSERT_TRUE(cache.verify(l[8], view(l[8])));
+  EXPECT_TRUE(cache.contains(0, l[0]));
+  EXPECT_FALSE(cache.contains(0, l[1]));
+  EXPECT_TRUE(cache.contains(0, l[8]));
+
+  // Reference everything but l[0], whose flag the hand cleared: when the
+  // hand comes round it clears l[2..7] and evicts l[0].
+  for (int i = 2; i < 8; ++i) ASSERT_TRUE(cache.verify(l[i], view(l[i])));
+  ASSERT_TRUE(cache.verify(l[9], view(l[9])));
+  EXPECT_FALSE(cache.contains(0, l[0]));
+  for (int i = 2; i < 10; ++i) EXPECT_TRUE(cache.contains(0, l[i])) << i;
+
+  // A probe hit marks a way referenced like verify() does: l[8], never
+  // hit since its install, survives the next pass once probed.
+  bool resident = false;
+  ASSERT_TRUE(cache.probe(l[8], view(l[8]), resident));
+  ASSERT_TRUE(resident);
+  ASSERT_TRUE(cache.verify(l[1], view(l[1])));
+  EXPECT_TRUE(cache.contains(0, l[8]));
+  EXPECT_EQ(cache.occupied(), 8u);  // the other set stayed empty
+}
+
 /// ------------------------------------------------------------------
 /// Engine-level: eager vs cached SecureMemory must be indistinguishable
 /// through every public surface — reads, save images, tamper detection.
@@ -375,6 +495,62 @@ TEST(TreeCacheEngine, ShardedStressWithPerShardCaches) {
       EXPECT_EQ(result.data[0], static_cast<std::uint8_t>(b));
     }
   }
+}
+
+TEST(TreeCacheEngine, ShardedReadOnlyHotSetWarmsWithinPulseBound) {
+  // A read-only hot set on a freshly flushed sharded engine, read round
+  // robin through shared reads by one thread. Each cold shared read ticks
+  // the per-thread promotion pulse; one in 64 declines, and its exclusive
+  // retry installs that line. With H hot counter lines and no eviction
+  // among them, every line is resident after at most 64 * H cold reads,
+  // whatever phase the tick starts in; after that the shared path answers
+  // every read from residency and declines nothing.
+  SecureMemoryConfig config = engine_config(8);
+  config.size_bytes = 1024 * 1024;
+  ShardedSecureMemory mem(config, 4);
+  constexpr std::uint64_t kHot = 16;  // one block per counter line
+  std::vector<std::uint64_t> hot;
+  for (std::uint64_t i = 0; i < kHot; ++i) hot.push_back(i * 1024 + 7);
+  for (const std::uint64_t b : hot) {
+    DataBlock block{};
+    block[0] = static_cast<std::uint8_t>(b);
+    ASSERT_EQ(mem.write_block(b, block), Status::kOk);
+  }
+  std::ostringstream image;
+  ASSERT_EQ(mem.save(image), Status::kOk);  // flush barrier: all cold
+
+  auto counter = [&mem](const char* name) {
+    StatRegistry registry;
+    mem.publish_metrics(registry);
+    return registry.counter_value(name);
+  };
+  const bool probing = !env_disables_cache() && []() {
+    const char* env = std::getenv("SECMEM_SEQLOCK");
+    return env == nullptr || std::strcmp(env, "0") != 0;
+  }();
+  constexpr int kRounds = 2000;
+  std::uint64_t warm_after_misses = 0;  // 0: never reached all-resident
+  for (int round = 0; round < kRounds; ++round) {
+    const std::uint64_t misses_before =
+        counter("engine.tree_cache.probe_misses");
+    for (const std::uint64_t b : hot) {
+      const ReadResult result = mem.read_block(b);
+      ASSERT_EQ(result.status, ReadStatus::kOk);
+      ASSERT_EQ(result.data[0], static_cast<std::uint8_t>(b));
+    }
+    if (warm_after_misses == 0 &&
+        counter("engine.tree_cache.probe_misses") == misses_before)
+      warm_after_misses = misses_before;
+  }
+  if (!probing) return;  // no shared probes to warm
+  const std::uint64_t hits = counter("engine.tree_cache.probe_hits");
+  const std::uint64_t misses = counter("engine.tree_cache.probe_misses");
+  ASSERT_GT(warm_after_misses, 0u);
+  EXPECT_LE(warm_after_misses, 64 * kHot);
+  EXPECT_EQ(misses, warm_after_misses);  // resident from then on
+  // Each decline installed a distinct cold line, and none was evicted.
+  EXPECT_EQ(counter("engine.shared_read_declines"), kHot);
+  EXPECT_GT(hits, 20 * misses);
 }
 
 }  // namespace
