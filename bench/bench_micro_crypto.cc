@@ -197,6 +197,35 @@ void BM_CwMacVerifyWithHoistedPad(benchmark::State& state) {
 }
 BENCHMARK(BM_CwMacVerifyWithHoistedPad);
 
+// Per-backend long-message PRF tag: the shape of a delta image's command
+// MAC (one compute_prf over the whole SKIP/ADD stream) at 4 KiB and
+// 512 KiB. Nearly all of it is full 64-byte chunks of the hash.
+void BM_CwMacPrfBackend(benchmark::State& state, const Aes128Ops* aes_ops,
+                        const Gf64Ops* gf_ops) {
+  if (aes_ops == nullptr || gf_ops == nullptr) {
+    state.SkipWithError("backend unavailable on this host");
+    return;
+  }
+  const CwMac mac(mac_key(), *aes_ops, *gf_ops);
+  std::vector<std::uint8_t> message(static_cast<std::size_t>(state.range(0)));
+  Xoshiro256 rng(9);
+  for (auto& b : message) b = static_cast<std::uint8_t>(rng.next());
+  std::uint64_t domain = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mac.compute_prf(++domain & 0xFFFF, message));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+  state.SetLabel(mac.gf_backend_name());
+}
+BENCHMARK_CAPTURE(BM_CwMacPrfBackend, portable, &aes128_ops_portable(),
+                  &gf64_ops_portable())
+    ->Arg(4 << 10)
+    ->Arg(512 << 10);
+BENCHMARK_CAPTURE(BM_CwMacPrfBackend, accel, aes128_ops_accelerated(),
+                  gf64_ops_accelerated())
+    ->Arg(4 << 10)
+    ->Arg(512 << 10);
+
 void BM_Secded72EncodeBlock(benchmark::State& state) {
   const Secded72 codec;
   const DataBlock block = sample_block();

@@ -125,6 +125,20 @@ for row in results:
         f"{row['engine']}/{row['mode']}: delta not smaller than full image"
 print(f"ok: delta rows in {sys.argv[1]} ({len(results)} samples)")
 EOF
+# Crypto-kernel smoke: a short pass over the CwMac rows of the micro
+# bench (block MAC, batch, hoisted-pad verify, long-message PRF per
+# backend). Its JSON export must parse and hold a timed CwMac row.
+SECMEM_METRICS_JSON="$tmp/micro_crypto.metrics.json" \
+  ./build/bench/bench_micro_crypto --benchmark_filter=CwMac \
+  --benchmark_min_time=0.01 --benchmark_out="$tmp/micro_crypto.bench.json" \
+  --benchmark_out_format=json >/dev/null
+python3 - "$tmp/micro_crypto.bench.json" <<'EOF'
+import json, sys
+rows = json.load(open(sys.argv[1]))["benchmarks"]
+timed = [r for r in rows if not r.get("error_occurred") and r["real_time"] > 0]
+assert any(r["name"].startswith("BM_CwMac") for r in timed), "no CwMac rows"
+print(f"ok: {sys.argv[1]} ({len(timed)} timed CwMac rows)")
+EOF
 for f in "$tmp"/*.metrics.json; do
   python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$f"
   echo "ok: $f"

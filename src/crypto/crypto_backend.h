@@ -50,6 +50,17 @@ struct Gf64Ops {
   const char* name;
   Clmul128 (*clmul)(std::uint64_t a, std::uint64_t b);
   std::uint64_t (*mul)(std::uint64_t a, std::uint64_t b);
+  /// Aggregated-reduction hash of one 64-byte chunk:
+  ///   acc * acc_coeff  XOR  sum_j m_j * coeffs[j]       (j = 0..7)
+  /// where m_j is little-endian word j of `chunk`. The nine carry-less
+  /// products are independent and summed unreduced; the sum is reduced
+  /// once. Reduction is GF(2)-linear, so this equals reducing each
+  /// product — CwMac folds a whole chunk of Horner steps with it. Null
+  /// on the portable backend, whose word-at-a-time Horner loop is the
+  /// reference.
+  std::uint64_t (*hash_chunk)(std::uint64_t acc, std::uint64_t acc_coeff,
+                              const std::uint8_t* chunk,
+                              const std::uint64_t* coeffs);
 };
 
 const Aes128Ops& aes128_ops_portable() noexcept;

@@ -35,8 +35,8 @@ CwMac::CwMac(const CwMacKey& key, const Aes128Ops& aes_ops,
                  : nullptr),
       pad_(key.pad_key, aes_ops) {
   // word_coeff_[j] = h^(8-j): coefficient of word j in the block hash.
-  std::uint64_t p = h_;
-  for (std::size_t j = kBlockWords; j-- > 0;) {
+  std::uint64_t p = 1;
+  for (std::size_t j = word_coeff_.size(); j-- > 0;) {
     word_coeff_[j] = p;
     p = gf_->mul(p, h_);
   }
@@ -50,11 +50,28 @@ std::uint64_t CwMac::mul_h(std::uint64_t x) const noexcept {
 
 std::uint64_t CwMac::polyhash(
     std::span<const std::uint8_t> message) const noexcept {
-  // Horner evaluation: acc = ((m0*h + m1)*h + m2)*h ... + len, all in
+  // Horner's rule: acc = ((m0*h + m1)*h + m2)*h ... + len, all in
   // GF(2^64). Absorbing the length defends against extension-style
   // ambiguity between messages that differ only in trailing zeros.
+  //
+  // With a hash_chunk kernel (PCLMULQDQ) the eight Horner steps of a
+  // full 64-byte chunk collapse into one aggregated fold,
+  // acc*h^8 + sum_j m_j*h^(7-j), and a lone 64-byte block into
+  // sum_j m_j*h^(8-j) + 512 (acc is 0 and the final *h + len folds in).
+  // Both are Horner's rule multiplied out, and reducing a sum of
+  // products once equals reducing each product (reduction is linear), so
+  // the value is bit-identical to the word loop below — which the tail,
+  // the length step and the whole portable path still run.
   std::uint64_t acc = 0;
   std::size_t i = 0;
+  if (const auto hash_chunk = gf_->hash_chunk) {
+    if (message.size() == kBlockBytes)
+      return hash_chunk(0, 0, message.data(), word_coeff_.data()) ^
+             (kBlockBytes * 8);
+    for (; i + kBlockBytes <= message.size(); i += kBlockBytes)
+      acc = hash_chunk(acc, word_coeff_[0], message.data() + i,
+                       word_coeff_.data() + 1);
+  }
   while (i + 8 <= message.size()) {
     acc = mul_h(acc) ^ load_le64(message.data() + i);
     i += 8;

@@ -13,10 +13,16 @@
 // counter value, so protecting counter integrity (via the tree) is enough
 // to prevent replay of data blocks.
 //
-// The GF(2^64) multiplies dispatch with the rest of the crypto kernels:
-// on a PCLMULQDQ host each multiply-by-h is three carry-less multiplies
-// and the 16KB windowed table is never built; on the portable path the
-// table is built once per key and each product is 8 loads + 7 XORs.
+// The GF(2^64) multiplies dispatch with the rest of the crypto kernels.
+// On a PCLMULQDQ host the hash is evaluated in aggregated form: each
+// 64-byte chunk of words m0..m7 is folded as
+//   acc' = acc*h^8 + sum_j m_j*h^(7-j)
+// from nine independent carry-less multiplies and ONE reduction, and a
+// 64-byte block (acc = 0) is just sum_j m_j*h^(8-j) + 512. Expanding
+// Horner's rule gives exactly these powers and reduction is linear, so
+// the result is bit-identical to word-at-a-time Horner, which the
+// portable path keeps: its 16KB windowed multiply-by-h table is built
+// once per key and each product is 8 loads + 7 XORs.
 #pragma once
 
 #include <array>
@@ -171,8 +177,10 @@ class CwMac {
   /// Windowed multiply-by-h table — built only on the portable path
   /// (with PCLMULQDQ the direct product beats the 16KB table walk).
   std::unique_ptr<Gf64MulTable> mul_h_;
-  /// word_coeff_[j] = h^(8-j), the coefficient of block word j.
-  std::array<std::uint64_t, kBlockWords> word_coeff_;
+  /// word_coeff_[j] = h^(8-j), the coefficient of block word j, for
+  /// j = 0..8: the extra h^0 = 1 makes word_coeff_[1..8] the chunk-fold
+  /// coefficients h^7..h^0 and word_coeff_[0] the accumulator's h^8.
+  std::array<std::uint64_t, kBlockWords + 1> word_coeff_;
   Aes128 pad_;
 };
 

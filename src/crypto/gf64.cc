@@ -41,7 +41,7 @@ std::uint64_t gf64_mul(std::uint64_t a, std::uint64_t b) noexcept {
 
 const Gf64Ops& gf64_ops_portable() noexcept {
   static constexpr Gf64Ops ops = {"portable", clmul64_portable,
-                                  gf64_mul_portable};
+                                  gf64_mul_portable, nullptr};
   return ops;
 }
 

@@ -1,8 +1,8 @@
 // Runtime crypto dispatch: FIPS-197 KATs against the hardware kernels,
 // differential fuzz proving portable and accelerated backends are
 // bit-identical at every layer (block cipher, GF(2^64), MAC, CTR
-// keystream, batch APIs, whole-engine save images), and the selection
-// policy itself.
+// keystream, batch APIs, whole-engine save and delta images), and the
+// selection policy itself.
 //
 // Hardware-path tests GTEST_SKIP on machines without AES-NI/PCLMULQDQ (or
 // builds whose compiler couldn't emit them) — the differential claims are
@@ -12,6 +12,7 @@
 
 #include <cstring>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -264,14 +265,21 @@ TEST(CryptoDispatch, DifferentialCwMac) {
     EXPECT_STREQ(hard.gf_backend_name(), "pclmul");
     const std::uint64_t addr = rng.next() & ~std::uint64_t{63};
     const std::uint64_t counter = rng.next() & ((1ULL << 56) - 1);
-    // Whole blocks plus ragged lengths exercise the tail path.
-    std::uint8_t message[96];
+    // Whole blocks, ragged tails, and messages of two or more 64-byte
+    // chunks (the accelerated hash folds a chunk into a nonzero
+    // accumulator there) in both tag modes.
+    std::uint8_t message[4101];
     for (auto& b : message) b = static_cast<std::uint8_t>(rng.next());
-    for (const std::size_t len : {std::size_t{0}, std::size_t{5},
-                                  std::size_t{64}, std::size_t{96}}) {
+    for (const std::size_t len :
+         {std::size_t{0}, std::size_t{5}, std::size_t{64}, std::size_t{96},
+          std::size_t{128}, std::size_t{136}, std::size_t{1000},
+          std::size_t{4101}}) {
       const std::span<const std::uint8_t> msg(message, len);
       ASSERT_EQ(soft.compute(addr, counter, msg),
                 hard.compute(addr, counter, msg))
+          << "trial " << trial << " len " << len;
+      ASSERT_EQ(soft.compute_prf(counter, msg),
+                hard.compute_prf(counter, msg))
           << "trial " << trial << " len " << len;
     }
     ASSERT_EQ(soft.pad_for(addr, counter), hard.pad_for(addr, counter));
@@ -351,6 +359,70 @@ TEST(CryptoDispatch, EngineSaveImagesIdenticalAcrossBackends) {
   const std::string accel_image = run(CryptoBackendChoice::kAccelerated);
   ASSERT_EQ(portable_image.size(), accel_image.size());
   EXPECT_EQ(portable_image, accel_image);
+}
+
+TEST(CryptoDispatch, EngineDeltaImagesIdenticalAcrossBackends) {
+  // Delta images carry the long-message hash: the seal and the command
+  // MAC run compute_prf over the root level and the whole SKIP/ADD
+  // stream. Both backends must emit the same bytes, and each must accept
+  // the other's chain.
+  if (aes128_ops_accelerated() == nullptr ||
+      gf64_ops_accelerated() == nullptr)
+    GTEST_SKIP() << "no accelerated backends on this host";
+  SecureMemoryConfig config;
+  config.size_bytes = 64 * 1024;
+  struct Chain {
+    std::vector<std::string> shipped;  // full base, then two deltas
+    std::string final_image;
+  };
+  auto run = [&config](CryptoBackendChoice choice) {
+    BackendGuard guard(choice);
+    SecureMemory memory(config);
+    Xoshiro256 rng(27);
+    Chain chain;
+    for (const int writes : {300, 12, 12}) {
+      for (int i = 0; i < writes; ++i) {
+        DataBlock block;
+        for (auto& b : block) b = static_cast<std::uint8_t>(rng.next());
+        EXPECT_EQ(memory.write_block(rng.next_below(memory.num_blocks()),
+                                     block),
+                  Status::kOk);
+      }
+      std::ostringstream image;
+      EXPECT_EQ(memory.save_delta(image), Status::kOk);
+      chain.shipped.push_back(image.str());
+    }
+    std::ostringstream image;
+    EXPECT_EQ(memory.save(image), Status::kOk);
+    chain.final_image = image.str();
+    return chain;
+  };
+  const Chain portable = run(CryptoBackendChoice::kPortable);
+  const Chain accel = run(CryptoBackendChoice::kAccelerated);
+  ASSERT_EQ(portable.shipped.size(), accel.shipped.size());
+  for (std::size_t i = 1; i < portable.shipped.size(); ++i) {
+    ASSERT_EQ(0, portable.shipped[i].compare(0, 8, SecureMemory::kDeltaMagic,
+                                             8))
+        << "image " << i << " is not a delta";
+    EXPECT_EQ(portable.shipped[i], accel.shipped[i]) << "delta " << i;
+  }
+  EXPECT_EQ(portable.final_image, accel.final_image);
+
+  // Cross-restore: each backend's replica replays the other's chain.
+  auto replay = [&config](CryptoBackendChoice choice, const Chain& chain) {
+    BackendGuard guard(choice);
+    SecureMemory replica(config);
+    for (std::size_t i = 0; i < chain.shipped.size(); ++i) {
+      std::istringstream in(chain.shipped[i]);
+      EXPECT_TRUE(replica.restore_delta(in)) << "image " << i;
+    }
+    std::ostringstream image;
+    EXPECT_EQ(replica.save(image), Status::kOk);
+    return image.str();
+  };
+  EXPECT_EQ(replay(CryptoBackendChoice::kPortable, accel), accel.final_image);
+  EXPECT_EQ(replay(CryptoBackendChoice::kAccelerated, portable),
+            portable.final_image);
 }
 
 TEST(CryptoDispatch, EngineBatchIoMatchesScalarAcrossBackends) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "crypto/crypto_backend.h"
 
 namespace secmem {
 namespace {
@@ -178,6 +179,28 @@ TEST(CwMac, PrfModeDomainReuseDoesNotLeakHashDifference) {
         mac.block_polyhash(m1) ^ mac.block_polyhash(m2);
     EXPECT_NE(mac.compute_prf(5, m1) ^ mac.compute_prf(5, m2), hash_diff);
   }
+}
+
+TEST(CwMac, KnownAnswers) {
+  // Values produced by the word-at-a-time Horner evaluation this hash was
+  // defined with; every backend and every evaluation order must keep
+  // them, so tags, seals and snapshot images stay byte-identical.
+  std::vector<std::uint8_t> msg(4099);
+  for (std::size_t i = 0; i < msg.size(); ++i)
+    msg[i] = static_cast<std::uint8_t>(i * 13 + 1);
+  const std::span<const std::uint8_t> all(msg);
+  const auto check = [&all](const CwMac& mac) {
+    SCOPED_TRACE(mac.gf_backend_name());
+    EXPECT_EQ(mac.compute(0x1240, 77, all.first(0)), 0x00128ac0a7a3e581ULL);
+    EXPECT_EQ(mac.compute(0x1240, 77, all.first(5)), 0x006a1c459061bd28ULL);
+    EXPECT_EQ(mac.compute(0x1240, 77, all.first(64)), 0x001ab421b539036dULL);
+    EXPECT_EQ(mac.compute(0x1240, 77, all.first(200)), 0x0011f5c3c71d2df3ULL);
+    EXPECT_EQ(mac.block_polyhash(pattern_block(0x11)), 0xc617cb3ada15ef5fULL);
+    EXPECT_EQ(mac.compute_prf(0x51, all), 0x9140753ee8e436c4ULL);
+  };
+  check(CwMac(test_key(), aes128_ops_portable(), gf64_ops_portable()));
+  if (const Gf64Ops* hw = gf64_ops_accelerated())
+    check(CwMac(test_key(), aes128_ops(), *hw));
 }
 
 TEST(CwMac, CollisionRateSanity) {
